@@ -21,6 +21,10 @@
 // coordinator pushes membership updates to POST /v1/members, so the
 // worker's ring follows the fleet as it grows and shrinks.
 //
+// Every worker names its job IDs after its -self-url (default
+// http://<bound addr>), so any coordinator over the fleet can route
+// GET/DELETE /v1/runs/{id} and its event stream to the owning node.
+//
 // With -coordinator the process serves no simulations itself; it routes
 // each submission to its shard owner over a consistent-hash ring of
 // -peers, hedges stragglers onto the next replica, retries 429/503 on
@@ -38,8 +42,10 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -64,7 +70,7 @@ func main() {
 
 		peers         = flag.String("peers", "", "comma-separated fleet base URLs (workers: peer cache fill + replication; coordinator: the ring)")
 		peerFile      = flag.String("peer-file", "", "coordinator: file of fleet base URLs (one per line); SIGHUP re-reads it and rebalances")
-		selfURL       = flag.String("self-url", "", "this worker's advertised base URL within -peers (default http://<bound addr>)")
+		selfURL       = flag.String("self-url", "", "this worker's advertised base URL, spelled as in the coordinator's member list; names its job IDs and its place in -peers (default http://<bound addr>)")
 		coordinator   = flag.Bool("coordinator", false, "run as the fleet coordinator instead of a worker")
 		vnodes        = flag.Int("vnodes", 64, "virtual nodes per ring member")
 		replicas      = flag.Int("replicas", 0, "coordinator: distinct nodes a submission may try (default 3); worker: total copies of each result across the fleet (default 2)")
@@ -109,6 +115,27 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	// Bind first: the self URL names this worker's job IDs and lets peer
+	// fill and replication skip this node, so it is needed before the
+	// server is built.
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		fatal(err)
+	}
+	bound := ln.Addr().String()
+	self := *selfURL
+	if self == "" {
+		self = "http://" + bound
+	}
+	// A coordinator routes a job by matching its ID's tag against the
+	// member list, so a self URL spelled differently there strands every
+	// async job this worker mints.
+	if len(peerList) > 0 && !slices.Contains(peerList, self) {
+		fatal(fmt.Errorf("self URL %s is not in -peers; set -self-url to this worker's entry there", self))
+	}
+	if host, _, _ := net.SplitHostPort(bound); *selfURL == "" && net.ParseIP(host).IsUnspecified() {
+		log.Printf("warning: job IDs are named after %s, which no coordinator member list spells; set -self-url to route them through a coordinator", self)
+	}
 	cfg := server.Config{
 		Store:      st,
 		QueueSize:  *queueSize,
@@ -118,33 +145,15 @@ func main() {
 		Retries:    *retries,
 		MaxBudget:  *maxBudget,
 		Logf:       log.Printf,
+		SelfURL:    self,
 	}
-	// Peer cache fill and replication are wired late: with -addr :0 the
-	// self URL is only known after binding, and both need it to skip
-	// this node. The ring itself exists up front so the membership
-	// endpoint can serve from the first request.
-	var (
-		ring       *cluster.Ring
-		filler     *cluster.PeerFiller
-		replicator *cluster.Replicator
-	)
+	var ring *cluster.Ring
 	if len(peerList) > 0 {
-		var err error
 		if ring, err = cluster.NewRing(peerList, *vnodes); err != nil {
 			fatal(err)
 		}
-		cfg.PeerFill = func(ctx context.Context, key string) ([]byte, bool) {
-			if filler == nil {
-				return nil, false
-			}
-			return filler.Fill(ctx, key)
-		}
-		cfg.Replicate = func(ctx context.Context, key string, data []byte) (int, int) {
-			if replicator == nil {
-				return 0, 0
-			}
-			return replicator.Replicate(ctx, key, data)
-		}
+		cfg.PeerFill = cluster.NewPeerFiller(self, ring, 0, 0, nil).Fill
+		cfg.Replicate = cluster.NewReplicator(self, ring, *replicas, 0, nil).Replicate
 	}
 	srv, err := server.New(cfg)
 	if err != nil {
@@ -157,20 +166,10 @@ func main() {
 		// replica writes follow the updated ring immediately.
 		handler = cluster.WorkerMux(handler, ring, log.Printf)
 	}
-	httpSrv, bound, errCh, err := server.StartHTTP(*addr, handler)
-	if err != nil {
-		fatal(err)
-	}
+	httpSrv, errCh := server.Serve(ln, handler)
 	fmt.Printf("simd listening on %s\n", bound)
 	log.Printf("listening on %s (cache %s, queue %d, %d workers)", bound, *cacheDir, *queueSize, *workers)
-
 	if ring != nil {
-		self := *selfURL
-		if self == "" {
-			self = "http://" + bound
-		}
-		filler = cluster.NewPeerFiller(self, ring, 0, 0, nil)
-		replicator = cluster.NewReplicator(self, ring, *replicas, 0, nil)
 		log.Printf("fleet member %s (%d peers, peer cache fill + replication on)", self, len(peerList))
 	}
 

@@ -65,12 +65,6 @@ type CoordinatorConfig struct {
 	HandoffConcurrency int
 	HandoffTimeout     time.Duration
 
-	// RouteTTL is how long a job-route entry survives after the job was
-	// observed terminal (default 2m); RouteMaxAge evicts entries never
-	// observed terminal — abandoned async submissions (default 1h).
-	RouteTTL    time.Duration
-	RouteMaxAge time.Duration
-
 	// MaxBudget mirrors the workers' largest accepted per-thread
 	// instruction budget so routing rejects what workers would (0 =
 	// worker default).
@@ -119,12 +113,6 @@ func (c CoordinatorConfig) withDefaults() CoordinatorConfig {
 	if c.HandoffTimeout <= 0 {
 		c.HandoffTimeout = 15 * time.Second
 	}
-	if c.RouteTTL <= 0 {
-		c.RouteTTL = 2 * time.Minute
-	}
-	if c.RouteMaxAge <= 0 {
-		c.RouteMaxAge = time.Hour
-	}
 	if c.Client == nil {
 		c.Client = &http.Client{}
 	}
@@ -161,18 +149,6 @@ type Coordinator struct {
 	handoffWG      sync.WaitGroup
 	syncWG         sync.WaitGroup
 
-	// now is injectable so route-eviction tests can advance the clock.
-	now func() time.Time
-
-	// jobRoutes remembers which node owns a job ID so status, cancel
-	// and event-stream requests can be proxied after an async submit.
-	// Entries are evicted when the job is observed terminal (after
-	// RouteTTL), on DELETE, by the RouteMaxAge backstop, and by the
-	// maxJobRoutes FIFO cap.
-	routesMu  sync.Mutex
-	jobRoutes map[string]*routeEntry
-	routeFIFO []string
-
 	forwards, forwardErrors       atomic.Uint64
 	hedgesFired, hedgesWon        atomic.Uint64
 	reroutes, reroutes429         atomic.Uint64
@@ -180,21 +156,12 @@ type Coordinator struct {
 	nodeDeaths, nodeRevivals      atomic.Uint64
 	cacheHits, cacheMisses        atomic.Uint64 // as reported by worker responses
 	membersAdded, membersRemoved  atomic.Uint64
-	routeEvictions                atomic.Uint64
 	handoffRuns, handoffScanned   atomic.Uint64
 	handoffMoved, handoffSkipped  atomic.Uint64
 	handoffErrors                 atomic.Uint64
 	handoffActive                 atomic.Int64
 	memberSyncs, memberSyncErrors atomic.Uint64
 }
-
-type routeEntry struct {
-	node     string
-	seen     time.Time // last remember/lookup touch
-	terminal time.Time // zero until the job was observed terminal
-}
-
-const maxJobRoutes = 4096
 
 // NewCoordinator validates cfg, builds the ring and starts the health
 // prober. Callers must Close it.
@@ -219,8 +186,6 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		stopHealth:    make(chan struct{}),
 		handoffCtx:    hctx,
 		handoffCancel: hcancel,
-		now:           time.Now,
-		jobRoutes:     make(map[string]*routeEntry),
 	}
 	c.healthWG.Add(1)
 	go c.healthLoop()
@@ -260,7 +225,6 @@ func (c *Coordinator) healthLoop() {
 			return
 		case <-ticker.C:
 			c.probeAll()
-			c.sweepRoutes()
 		}
 	}
 }
@@ -511,104 +475,6 @@ func (c *Coordinator) tryNode(ctx context.Context, node, path string, body []byt
 	return forwardResult{node: node, status: resp.StatusCode, body: data, retryAfter: resp.Header.Get("Retry-After")}
 }
 
-// rememberRoute maps a job ID to the node that owns it. The FIFO cap is
-// only the backstop; the real lifecycle is terminal-status eviction
-// (markRouteTerminal + sweepRoutes) so sustained async traffic cannot
-// grow the map without bound.
-func (c *Coordinator) rememberRoute(id, node string) {
-	if id == "" {
-		return
-	}
-	c.routesMu.Lock()
-	if e, ok := c.jobRoutes[id]; ok {
-		// Duplicate submit for a tracked job: refresh node and touch
-		// time in place, keeping any terminal timestamp so the RouteTTL
-		// eviction clock doesn't restart.
-		e.node = node
-		e.seen = c.now()
-	} else {
-		c.routeFIFO = append(c.routeFIFO, id)
-		for len(c.routeFIFO) > maxJobRoutes {
-			if _, ok := c.jobRoutes[c.routeFIFO[0]]; ok {
-				delete(c.jobRoutes, c.routeFIFO[0])
-				c.routeEvictions.Add(1)
-			}
-			c.routeFIFO = c.routeFIFO[1:]
-		}
-		c.jobRoutes[id] = &routeEntry{node: node, seen: c.now()}
-	}
-	c.routesMu.Unlock()
-}
-
-func (c *Coordinator) routeFor(id string) (string, bool) {
-	c.routesMu.Lock()
-	defer c.routesMu.Unlock()
-	e, ok := c.jobRoutes[id]
-	if !ok {
-		return "", false
-	}
-	e.seen = c.now()
-	return e.node, true
-}
-
-// markRouteTerminal starts the route's eviction clock: the job was seen
-// in a terminal state, so after RouteTTL nobody should still be asking
-// the coordinator about it.
-func (c *Coordinator) markRouteTerminal(id string) {
-	c.routesMu.Lock()
-	if e, ok := c.jobRoutes[id]; ok && e.terminal.IsZero() {
-		e.terminal = c.now()
-	}
-	c.routesMu.Unlock()
-}
-
-// dropRoute evicts a job route immediately (a successful DELETE — the
-// job is gone on the worker too).
-func (c *Coordinator) dropRoute(id string) {
-	c.routesMu.Lock()
-	if _, ok := c.jobRoutes[id]; ok {
-		delete(c.jobRoutes, id)
-		c.routeEvictions.Add(1)
-	}
-	c.routesMu.Unlock()
-}
-
-// sweepRoutes evicts job routes that are past their terminal TTL or —
-// for jobs never observed terminal (abandoned async submissions) — past
-// the RouteMaxAge backstop. Runs on every health tick.
-func (c *Coordinator) sweepRoutes() {
-	now := c.now()
-	c.routesMu.Lock()
-	var evicted int
-	live := c.routeFIFO[:0]
-	for _, id := range c.routeFIFO {
-		e, ok := c.jobRoutes[id]
-		if !ok {
-			continue // already dropped (DELETE or FIFO cap)
-		}
-		expired := (!e.terminal.IsZero() && now.Sub(e.terminal) > c.cfg.RouteTTL) ||
-			now.Sub(e.seen) > c.cfg.RouteMaxAge
-		if expired {
-			delete(c.jobRoutes, id)
-			evicted++
-			continue
-		}
-		live = append(live, id)
-	}
-	c.routeFIFO = live
-	c.routesMu.Unlock()
-	if evicted > 0 {
-		c.routeEvictions.Add(uint64(evicted))
-	}
-}
-
-// RouteCount reports the current job-route map size (tests, /metrics).
-func (c *Coordinator) RouteCount() int {
-	c.routesMu.Lock()
-	defer c.routesMu.Unlock()
-	return len(c.jobRoutes)
-}
-
 // Stats is the coordinator's observable state.
 type Stats struct {
 	Nodes          int     `json:"nodes"`
@@ -634,8 +500,6 @@ type Stats struct {
 	HandoffSkipped uint64  `json:"handoff_keys_skipped"`
 	HandoffErrors  uint64  `json:"handoff_errors"`
 	HandoffActive  int64   `json:"handoff_active"`
-	JobRoutes      int     `json:"job_routes"`
-	RouteEvictions uint64  `json:"route_evictions"`
 	FairQueueDepth int     `json:"fairq_depth"`
 	HedgeDelayMs   float64 `json:"hedge_delay_ms"`
 	LatencyP50Ms   float64 `json:"latency_p50_ms"`
@@ -669,8 +533,6 @@ func (c *Coordinator) Stats() Stats {
 		HandoffSkipped: c.handoffSkipped.Load(),
 		HandoffErrors:  c.handoffErrors.Load(),
 		HandoffActive:  c.handoffActive.Load(),
-		JobRoutes:      c.RouteCount(),
-		RouteEvictions: c.routeEvictions.Load(),
 		FairQueueDepth: c.fairq.Depth(),
 		HedgeDelayMs:   float64(c.hedgeDelay()) / 1e6,
 		LatencyP50Ms:   float64(c.lat.Quantile(0.50)) / 1e6,
@@ -682,8 +544,8 @@ func (c *Coordinator) Stats() Stats {
 // Handler returns the coordinator's HTTP API:
 //
 //	POST   /v1/runs             shard + forward (hedged); ?wait=1 passthrough
-//	GET    /v1/runs/{id}        proxied to the owning node
-//	DELETE /v1/runs/{id}        proxied to the owning node
+//	GET    /v1/runs/{id}        proxied to the member the ID's node tag names
+//	DELETE /v1/runs/{id}        proxied likewise
 //	GET    /v1/runs/{id}/events proxied NDJSON stream
 //	GET    /v1/fleet            fleet-wide aggregation (nodes + coordinator)
 //	GET    /metrics             simd_cluster_* text metrics
@@ -758,17 +620,9 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if res.status >= 200 && res.status < 300 {
 		c.lat.Observe(time.Since(start))
 		var sub struct {
-			ID     string `json:"id"`
-			Cache  string `json:"cache"`
-			Status string `json:"status"`
+			Cache string `json:"cache"`
 		}
 		if json.Unmarshal(res.body, &sub) == nil {
-			c.rememberRoute(sub.ID, res.node)
-			if terminalStatus(sub.Status) {
-				// wait=1 answers arrive already terminal: start the
-				// route's eviction clock right away.
-				c.markRouteTerminal(sub.ID)
-			}
 			switch sub.Cache {
 			case "hit":
 				c.cacheHits.Add(1)
@@ -793,45 +647,6 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	w.WriteHeader(res.status)
 	w.Write(res.body)
-}
-
-// statusPeek passes an upstream body through unchanged while keeping a
-// bounded prefix; onEOF fires once with that prefix when the client has
-// drained the whole response. A half-read body (client went away) never
-// fires — it proves nothing about the job's status.
-type statusPeek struct {
-	body  io.ReadCloser
-	limit int
-	buf   bytes.Buffer
-	onEOF func(prefix []byte)
-	fired bool
-}
-
-func (p *statusPeek) Read(b []byte) (int, error) {
-	n, err := p.body.Read(b)
-	if n > 0 && p.buf.Len() < p.limit {
-		keep := n
-		if room := p.limit - p.buf.Len(); keep > room {
-			keep = room
-		}
-		p.buf.Write(b[:keep])
-	}
-	if err == io.EOF && !p.fired {
-		p.fired = true
-		p.onEOF(p.buf.Bytes())
-	}
-	return n, err
-}
-
-func (p *statusPeek) Close() error { return p.body.Close() }
-
-// terminalStatus mirrors server.Status.terminal over the wire form.
-func terminalStatus(s string) bool {
-	switch server.Status(s) {
-	case server.StatusDone, server.StatusFailed, server.StatusCanceled:
-		return true
-	}
-	return false
 }
 
 // retryAfterSeconds renders a wait as a whole-second Retry-After value,
@@ -865,15 +680,15 @@ func (c *Coordinator) handleMembers(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, reply)
 }
 
-// handleProxyJob forwards job-scoped requests to the node that owns
-// the job ID, and retires the route once the job is over: a successful
-// DELETE drops it immediately, a status poll that shows a terminal
-// state starts the RouteTTL clock.
+// handleProxyJob forwards a job-scoped request unchanged to the member
+// named by the job ID's node tag. An untagged ID, or a tag that matches
+// no current member, is answered 404 without dialling anything: the
+// address always comes from the member list, never from client input.
 func (c *Coordinator) handleProxyJob(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	node, ok := c.routeFor(id)
+	node, ok := c.jobNode(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("unknown job %q (submitted elsewhere or evicted)", id))
+		writeError(w, http.StatusNotFound, fmt.Errorf("unknown job %q (no current member minted it)", id))
 		return
 	}
 	target, err := url.Parse(node)
@@ -881,8 +696,6 @@ func (c *Coordinator) handleProxyJob(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	isEvents := r.Method == http.MethodGet && len(r.URL.Path) > len("/events") &&
-		r.URL.Path[len(r.URL.Path)-len("/events"):] == "/events"
 	proxy := &httputil.ReverseProxy{
 		Director: func(req *http.Request) {
 			req.URL.Scheme = target.Scheme
@@ -890,36 +703,27 @@ func (c *Coordinator) handleProxyJob(w http.ResponseWriter, r *http.Request) {
 			req.Host = target.Host
 		},
 		FlushInterval: 100 * time.Millisecond, // NDJSON event streams
-		ModifyResponse: func(resp *http.Response) error {
-			if resp.StatusCode < 200 || resp.StatusCode >= 300 {
-				return nil
-			}
-			switch {
-			case r.Method == http.MethodDelete:
-				c.dropRoute(id)
-			case r.Method == http.MethodGet && !isEvents:
-				// Peek at the status without disturbing the stream the
-				// client sees: the full body (results can be multi-MB)
-				// streams through untouched, Content-Length stays
-				// truthful, and only a bounded prefix is kept for the
-				// parse. A body that outgrows the prefix fails the JSON
-				// parse and the RouteMaxAge sweep evicts the route.
-				resp.Body = &statusPeek{body: resp.Body, limit: 1 << 20, onEOF: func(prefix []byte) {
-					var job struct {
-						Status string `json:"status"`
-					}
-					if json.Unmarshal(prefix, &job) == nil && terminalStatus(job.Status) {
-						c.markRouteTerminal(id)
-					}
-				}}
-			}
-			return nil
-		},
+		Transport:     c.cfg.Client.Transport, // dial members as forwards do
 		ErrorHandler: func(w http.ResponseWriter, r *http.Request, err error) {
 			writeError(w, http.StatusBadGateway, fmt.Errorf("node %s: %w", node, err))
 		},
 	}
 	proxy.ServeHTTP(w, r)
+}
+
+// jobNode resolves a job ID to the current member whose NodeTag it
+// carries.
+func (c *Coordinator) jobNode(id string) (string, bool) {
+	tag, ok := server.JobNodeTag(id)
+	if !ok {
+		return "", false
+	}
+	for _, node := range c.ring.Nodes() {
+		if server.NodeTag(node) == tag {
+			return node, true
+		}
+	}
+	return "", false
 }
 
 // FleetNode is one worker's entry in the /v1/fleet aggregation.
@@ -1038,8 +842,6 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		{"simd_cluster_handoff_keys_skipped_total", "counter", st.HandoffSkipped},
 		{"simd_cluster_handoff_errors_total", "counter", st.HandoffErrors},
 		{"simd_cluster_handoff_active", "gauge", st.HandoffActive},
-		{"simd_cluster_job_routes", "gauge", st.JobRoutes},
-		{"simd_cluster_route_evictions_total", "counter", st.RouteEvictions},
 		{"simd_cluster_fairq_depth", "gauge", st.FairQueueDepth},
 		{"simd_cluster_hedge_delay_ms", "gauge", st.HedgeDelayMs},
 		{"simd_cluster_latency_p50_ms", "gauge", st.LatencyP50Ms},

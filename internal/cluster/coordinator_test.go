@@ -4,12 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -26,9 +27,9 @@ type worker struct {
 }
 
 // startWorker boots a real internal/server node behind an httptest
-// listener. mutate may adjust the config (e.g. Workers: 1); setFiller,
-// when non-nil, receives a hook that installs a PeerFiller after every
-// node's URL is known.
+// listener, bound first so the node tags its job IDs with its own URL
+// as cmd/simd does. mutate may adjust the config (e.g. Workers: 1); the
+// returned hook installs a PeerFiller once every node's URL is known.
 func startWorker(t *testing.T, mutate func(*server.Config)) (*worker, *func(ctx context.Context, key string) ([]byte, bool)) {
 	t.Helper()
 	st, err := store.New(t.TempDir(), 1<<20)
@@ -36,7 +37,10 @@ func startWorker(t *testing.T, mutate func(*server.Config)) (*worker, *func(ctx 
 		t.Fatal(err)
 	}
 	var fill func(ctx context.Context, key string) ([]byte, bool)
+	ts := httptest.NewUnstartedServer(nil)
+	url := "http://" + ts.Listener.Addr().String()
 	cfg := server.Config{
+		SelfURL:      url,
 		Store:        st,
 		QueueSize:    16,
 		Workers:      2,
@@ -59,8 +63,9 @@ func startWorker(t *testing.T, mutate func(*server.Config)) (*worker, *func(ctx 
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(srv.Handler())
-	w := &worker{srv: srv, ts: ts, url: ts.URL}
+	ts.Config.Handler = srv.Handler()
+	ts.Start()
+	w := &worker{srv: srv, ts: ts, url: url}
 	t.Cleanup(func() {
 		ts.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -102,19 +107,26 @@ func startFleet(t *testing.T, n int, mutate func(i int, cfg *server.Config)) ([]
 		pf := NewPeerFiller(w.url, ring, 0, time.Second, nil)
 		*fills[i] = pf.Fill
 	}
+	return workers, startCoordinator(t, urls, nil)
+}
+
+// startCoordinator boots a coordinator over urls; client may be nil.
+func startCoordinator(t *testing.T, urls []string, client *http.Client) *Coordinator {
+	t.Helper()
 	c, err := NewCoordinator(CoordinatorConfig{
 		Peers:          urls,
 		VNodes:         16,
-		Replicas:       n,
+		Replicas:       len(urls),
 		HedgeAfterMin:  500 * time.Millisecond, // effectively off unless a test lowers it
 		HealthInterval: time.Hour,              // tests drive liveness explicitly
+		Client:         client,
 		Logf:           t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(c.Close)
-	return workers, c
+	return c
 }
 
 func testSpec(seed uint64) server.RunSpec {
@@ -582,16 +594,37 @@ func TestHealthProberRevivesNode(t *testing.T) {
 	}
 }
 
-// TestProxyJobRoutes: async submits can be watched through the
-// coordinator, which proxies job endpoints to the owning node.
-func TestProxyJobRoutes(t *testing.T) {
-	_, c := startFleet(t, 2, nil)
+// TestTwoCoordinatorsServeOneFleet: job IDs name their worker, so a
+// job submitted through one coordinator is polled, streamed and
+// cancelled through another that never saw the submission. IDs that
+// name no current member are refused without any upstream request.
+func TestTwoCoordinatorsServeOneFleet(t *testing.T) {
+	workers, a := startFleet(t, 3, nil)
+	urls := make([]string, len(workers))
+	for i, w := range workers {
+		urls[i] = w.url
+	}
+	// Job-scoped requests b sent to any worker; the member sync and
+	// handoff that a removal starts use other paths.
+	var upstream atomic.Int64
+	b := startCoordinator(t, urls, &http.Client{Transport: roundTripFunc(func(req *http.Request) (*http.Response, error) {
+		if strings.HasPrefix(req.URL.Path, "/v1/runs/") {
+			upstream.Add(1)
+		}
+		return http.DefaultTransport.RoundTrip(req)
+	})})
+	ha, hb := a.Handler(), b.Handler()
+	do := func(h http.Handler, method, path string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, path, nil))
+		return rec
+	}
+
 	body, _ := json.Marshal(testSpec(31))
-	req := httptest.NewRequest(http.MethodPost, "/v1/runs", bytes.NewReader(body)) // no wait: 202 + id
 	rec := httptest.NewRecorder()
-	c.Handler().ServeHTTP(rec, req)
+	ha.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/runs", bytes.NewReader(body))) // no wait: 202 + id
 	if rec.Code != http.StatusAccepted {
-		t.Fatalf("async submit -> %d: %s", rec.Code, rec.Body.String())
+		t.Fatalf("async submit via a -> %d: %s", rec.Code, rec.Body.String())
 	}
 	var sub struct {
 		ID string `json:"id"`
@@ -599,120 +632,84 @@ func TestProxyJobRoutes(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &sub); err != nil || sub.ID == "" {
 		t.Fatalf("no job id in %s", rec.Body.String())
 	}
-
-	waitFor(t, "proxied job to finish", func() bool {
-		rec := httptest.NewRecorder()
-		c.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/runs/"+sub.ID, nil))
-		if rec.Code != http.StatusOK {
-			return false
-		}
-		var snap struct {
-			Status string `json:"status"`
-		}
-		return json.Unmarshal(rec.Body.Bytes(), &snap) == nil && snap.Status == "done"
-	})
-
-	// Unknown jobs 404 instead of guessing a node.
-	rec = httptest.NewRecorder()
-	c.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/runs/nope", nil))
-	if rec.Code != http.StatusNotFound {
-		t.Fatalf("unknown job -> %d", rec.Code)
-	}
-}
-
-// TestJobRouteEviction pins the route-map lifecycle that used to leak:
-// a status poll that sees a terminal job starts the RouteTTL clock, the
-// sweep then shrinks the map, a DELETE evicts immediately, and the
-// RouteMaxAge backstop clears entries never observed terminal.
-func TestJobRouteEviction(t *testing.T) {
-	_, c := startFleet(t, 2, nil)
-	// An injectable clock so the test can jump past the TTLs.
-	base := time.Now()
-	offset := time.Duration(0)
-	var clockMu sync.Mutex
-	c.now = func() time.Time {
-		clockMu.Lock()
-		defer clockMu.Unlock()
-		return base.Add(offset)
-	}
-	advance := func(d time.Duration) {
-		clockMu.Lock()
-		offset += d
-		clockMu.Unlock()
+	owner := rec.Header().Get("X-Simd-Node")
+	if tag, ok := server.JobNodeTag(sub.ID); !ok || tag != server.NodeTag(owner) {
+		t.Fatalf("job id %q does not carry the tag of its owner %s", sub.ID, owner)
 	}
 
-	submitAsync := func(seed uint64) string {
-		t.Helper()
-		body, _ := json.Marshal(testSpec(seed))
-		rec := httptest.NewRecorder()
-		c.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/runs", bytes.NewReader(body)))
-		if rec.Code != http.StatusAccepted {
-			t.Fatalf("async submit -> %d: %s", rec.Code, rec.Body.String())
-		}
-		var sub struct {
-			ID string `json:"id"`
-		}
-		if err := json.Unmarshal(rec.Body.Bytes(), &sub); err != nil || sub.ID == "" {
-			t.Fatalf("no job id in %s", rec.Body.String())
-		}
-		return sub.ID
-	}
-	get := func(id string) int {
-		rec := httptest.NewRecorder()
-		c.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/runs/"+id, nil))
-		return rec.Code
-	}
-
-	// Terminal-status eviction: poll until done, jump past RouteTTL,
-	// sweep — the map shrinks and later polls 404.
-	id := submitAsync(41)
-	if c.RouteCount() != 1 {
-		t.Fatalf("route count %d after submit", c.RouteCount())
-	}
-	waitFor(t, "proxied job to finish", func() bool {
-		rec := httptest.NewRecorder()
-		c.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/runs/"+id, nil))
+	waitFor(t, "job to finish, polled via b", func() bool {
+		rec := do(hb, http.MethodGet, "/v1/runs/"+sub.ID)
 		var snap struct {
 			Status string `json:"status"`
 		}
 		return rec.Code == http.StatusOK && json.Unmarshal(rec.Body.Bytes(), &snap) == nil && snap.Status == "done"
 	})
-	// Inside the TTL the route survives sweeps: polling clients keep
-	// working right after completion.
-	c.sweepRoutes()
-	if c.RouteCount() != 1 {
-		t.Fatal("terminal route evicted before its TTL")
+	rec = do(hb, http.MethodGet, "/v1/runs/"+sub.ID+"/events")
+	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"type":"done"`) {
+		t.Fatalf("events via b -> %d: %s", rec.Code, rec.Body.String())
 	}
-	advance(c.cfg.RouteTTL + time.Second)
-	c.sweepRoutes()
-	if c.RouteCount() != 0 {
-		t.Fatalf("route count %d after TTL sweep", c.RouteCount())
+	if rec := do(hb, http.MethodDelete, "/v1/runs/"+sub.ID); rec.Code != http.StatusOK {
+		t.Fatalf("DELETE via b -> %d: %s", rec.Code, rec.Body.String())
 	}
-	if code := get(id); code != http.StatusNotFound {
-		t.Fatalf("evicted job GET -> %d, want 404", code)
-	}
-	if st := c.Stats(); st.RouteEvictions < 1 {
-		t.Fatalf("eviction not counted: %+v", st)
+	if upstream.Load() < 3 {
+		t.Fatalf("b proxied %d job requests, want at least 3", upstream.Load())
 	}
 
-	// DELETE evicts immediately — no TTL wait.
-	id = submitAsync(42)
-	waitFor(t, "cancel to land", func() bool {
-		rec := httptest.NewRecorder()
-		c.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodDelete, "/v1/runs/"+id, nil))
-		return rec.Code == http.StatusOK
-	})
-	if c.RouteCount() != 0 {
-		t.Fatalf("route count %d after DELETE", c.RouteCount())
+	// Remove the owner from b only: a still reaches the job, b no
+	// longer counts the node as a member and must not dial it.
+	if _, err := b.ApplyMemberChange(MemberChange{Action: "remove", Node: owner}); err != nil {
+		t.Fatal(err)
 	}
+	if rec := do(ha, http.MethodGet, "/v1/runs/"+sub.ID); rec.Code != http.StatusOK {
+		t.Fatalf("job via a after b dropped its owner -> %d", rec.Code)
+	}
+	before := upstream.Load()
+	for _, id := range []string{
+		"0123456789ab-1", // untagged
+		server.NodeTag("http://not-a-member:1") + "-0123456789ab-1", // unknown tag
+		sub.ID, // owner removed from b's member list
+	} {
+		for _, req := range []struct{ method, path string }{
+			{http.MethodGet, "/v1/runs/" + id},
+			{http.MethodGet, "/v1/runs/" + id + "/events"},
+			{http.MethodDelete, "/v1/runs/" + id},
+		} {
+			if rec := do(hb, req.method, req.path); rec.Code != http.StatusNotFound {
+				t.Fatalf("%s %s via b -> %d, want 404", req.method, req.path, rec.Code)
+			}
+		}
+	}
+	if n := upstream.Load() - before; n != 0 {
+		t.Fatalf("404 answers dialled upstream %d times, want 0", n)
+	}
+}
 
-	// MaxAge backstop: an entry never observed terminal (abandoned async
-	// submission) still ages out.
-	c.rememberRoute("abandoned-job", "http://nowhere:1")
-	advance(c.cfg.RouteMaxAge + time.Second)
-	c.sweepRoutes()
-	if c.RouteCount() != 0 {
-		t.Fatalf("route count %d after MaxAge sweep", c.RouteCount())
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(req *http.Request) (*http.Response, error) { return f(req) }
+
+// TestJobNodeResolvesOnlyMembers: the coordinator maps a job ID to the
+// current member its tag names, and to nothing else.
+func TestJobNodeResolvesOnlyMembers(t *testing.T) {
+	n0, n1, gone := "http://127.0.0.1:1", "http://127.0.0.1:2", "http://127.0.0.1:3"
+	c := startCoordinator(t, []string{n0, n1, gone}, nil)
+	c.ring.Remove(gone)
+	for _, tc := range []struct {
+		id, want string
+	}{
+		{server.NodeTag(n0) + "-0123456789ab-1", n0},
+		{server.NodeTag(n1) + "-0123456789ab-7", n1},
+		{server.NodeTag(gone) + "-0123456789ab-1", ""},
+		{server.NodeTag("http://127.0.0.1:1/") + "-0123456789ab-1", ""}, // spelled differently
+		{"0123456789ab-1", ""},
+		{strings.ToUpper(server.NodeTag(n0)) + "-0123456789ab-1", ""},
+		{server.NodeTag(n0), ""},
+		{"", ""},
+	} {
+		got, ok := c.jobNode(tc.id)
+		if got != tc.want || ok != (tc.want != "") {
+			t.Errorf("jobNode(%q) = %q, %v; want %q", tc.id, got, ok, tc.want)
+		}
 	}
 }
 
@@ -782,111 +779,33 @@ func TestRetryAfterComputedNotHardcoded(t *testing.T) {
 	}
 }
 
-// TestProxyStatusPeekDoesNotTruncateLargeBodies pins the fix for the
-// proxy's terminal-status peek: a status response bigger than the 1MB
-// peek prefix must reach the client complete and byte-identical (the
-// old buffer-and-replace cut it off mid-body while Content-Length still
-// advertised the full size), and a too-big prefix must not be
-// misparsed as a status. Small terminal responses still start the
-// route's eviction clock.
-func TestProxyStatusPeekDoesNotTruncateLargeBodies(t *testing.T) {
+// TestProxyLargeBodyIntact: the job proxy streams a multi-MB status
+// body through byte-for-byte, with a truthful Content-Length.
+func TestProxyLargeBodyIntact(t *testing.T) {
 	big := []byte(`{"status":"done","result":"` + strings.Repeat("x", 3<<20) + `"}`)
-	upstream := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		switch r.URL.Path {
-		case "/v1/runs/big":
-			w.Write(big)
-		case "/v1/runs/small":
-			w.Write([]byte(`{"status":"done"}`))
-		default:
+	var upstream *httptest.Server
+	upstream = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/runs/"+server.NodeTag(upstream.URL)+"-big" {
 			http.NotFound(w, r)
+			return
 		}
+		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("Content-Length", strconv.Itoa(len(big)))
+		w.Write(big)
 	}))
 	defer upstream.Close()
-
-	c, err := NewCoordinator(CoordinatorConfig{
-		Peers:          []string{upstream.URL},
-		VNodes:         16,
-		HealthInterval: time.Hour,
-		Logf:           t.Logf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Close)
-	c.rememberRoute("big", upstream.URL)
-	c.rememberRoute("small", upstream.URL)
-	terminal := func(id string) bool {
-		c.routesMu.Lock()
-		defer c.routesMu.Unlock()
-		e, ok := c.jobRoutes[id]
-		return ok && !e.terminal.IsZero()
-	}
+	c := startCoordinator(t, []string{upstream.URL}, nil)
 
 	rec := httptest.NewRecorder()
-	c.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/runs/big", nil))
+	c.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/runs/"+server.NodeTag(upstream.URL)+"-big", nil))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("large status GET -> %d", rec.Code)
 	}
 	if !bytes.Equal(rec.Body.Bytes(), big) {
 		t.Fatalf("large body corrupted in proxy: got %d bytes, want %d", rec.Body.Len(), len(big))
 	}
-	if terminal("big") {
-		t.Fatal("truncated peek prefix must not be parsed as a terminal status")
-	}
-
-	rec = httptest.NewRecorder()
-	c.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/runs/small", nil))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("small status GET -> %d", rec.Code)
-	}
-	if !terminal("small") {
-		t.Fatal("small terminal response did not start the route's eviction clock")
-	}
-}
-
-// TestRememberRoutePreservesTerminal: re-remembering a tracked job (a
-// duplicate submit response) must update node and touch time in place —
-// not replace the entry and silently restart the RouteTTL eviction
-// clock — and the FIFO-cap eviction path must count into
-// route_evictions like every other eviction.
-func TestRememberRoutePreservesTerminal(t *testing.T) {
-	c, err := NewCoordinator(CoordinatorConfig{
-		Peers:          []string{"http://127.0.0.1:1"},
-		VNodes:         16,
-		HealthInterval: time.Hour,
-		Logf:           t.Logf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Close)
-
-	c.rememberRoute("job", "http://n1:1")
-	c.markRouteTerminal("job")
-	c.rememberRoute("job", "http://n2:1")
-	c.routesMu.Lock()
-	e, fifo := c.jobRoutes["job"], len(c.routeFIFO)
-	c.routesMu.Unlock()
-	if e.node != "http://n2:1" {
-		t.Fatalf("node not refreshed: %q", e.node)
-	}
-	if e.terminal.IsZero() {
-		t.Fatal("duplicate remember cleared the terminal timestamp (TTL clock restarted)")
-	}
-	if fifo != 1 {
-		t.Fatalf("duplicate remember grew the FIFO to %d entries", fifo)
-	}
-
-	before := c.routeEvictions.Load()
-	for i := 0; i < maxJobRoutes+10; i++ {
-		c.rememberRoute(fmt.Sprintf("j%d", i), "http://n1:1")
-	}
-	if got := c.RouteCount(); got != maxJobRoutes {
-		t.Fatalf("route count %d after FIFO cap, want %d", got, maxJobRoutes)
-	}
-	if c.routeEvictions.Load() <= before {
-		t.Fatal("FIFO-cap eviction not counted in route_evictions")
+	if got := rec.Header().Get("Content-Length"); got != strconv.Itoa(len(big)) {
+		t.Fatalf("Content-Length %q, want %d", got, len(big))
 	}
 }
 

@@ -247,12 +247,22 @@ func TestReplicatedWritesSurvivePrimaryDeath(t *testing.T) {
 func TestMembershipChangeHandoff(t *testing.T) {
 	workers, c := startReplicatedFleet(t, 3)
 
-	// Seed the fleet with a dozen distinct results so the new node is
-	// overwhelmingly likely to own some of them.
+	// The fourth worker starts now but joins only after seeding, so the
+	// seeds can be chosen to give it at least one key as primary: its
+	// port, and with it the ring split, changes from run to run.
+	joined := startRepWorker(t, urlsOf(workers))
+	grown, err := NewRing(append(urlsOf(workers), joined.url), 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Seed the fleet with at least a dozen distinct results.
 	const nKeys = 12
 	results := make(map[string][]byte, nKeys)
-	keys := make([]string, 0, nKeys)
-	for seed := uint64(100); seed < 100+nKeys; seed++ {
+	var keys []string
+	var seeds []uint64
+	joinedOwns := false
+	for seed := uint64(100); len(keys) < nKeys || !joinedOwns; seed++ {
 		spec := testSpec(seed)
 		r := submitVia(t, c.Handler(), spec, "seed")
 		if r.status != http.StatusOK || r.Status != "done" {
@@ -260,7 +270,9 @@ func TestMembershipChangeHandoff(t *testing.T) {
 		}
 		key := mustKey(t, spec)
 		keys = append(keys, key)
+		seeds = append(seeds, seed)
 		results[key] = r.Result
+		joinedOwns = joinedOwns || grown.Owners(key, 1)[0] == joined.url
 	}
 	waitFor(t, "replication to reach R=2 everywhere", func() bool {
 		for _, key := range keys {
@@ -271,8 +283,7 @@ func TestMembershipChangeHandoff(t *testing.T) {
 		return true
 	})
 
-	// Grow the fleet: a fourth worker joins over the membership API.
-	joined := startRepWorker(t, urlsOf(workers))
+	// Grow the fleet: the fourth worker joins over the membership API.
 	workers = append(workers, joined)
 	reply := postMembers(t, c, MemberChange{Action: "add", Node: joined.url})
 	if !reply.Changed || !reply.Handoff || len(reply.Members) != 4 {
@@ -319,7 +330,7 @@ func TestMembershipChangeHandoff(t *testing.T) {
 	live := workers[1:]
 
 	simsBefore := totalSimulations(live)
-	for seed := uint64(100); seed < 100+nKeys; seed++ {
+	for _, seed := range seeds {
 		spec := testSpec(seed)
 		r := submitVia(t, c.Handler(), spec, "reread")
 		key := mustKey(t, spec)

@@ -17,6 +17,15 @@ func StartHTTP(addr string, h http.Handler) (*http.Server, string, <-chan error,
 	if err != nil {
 		return nil, "", nil, err
 	}
+	srv, errCh := Serve(ln, h)
+	return srv, ln.Addr().String(), errCh, nil
+}
+
+// Serve serves h on an already bound listener in a background
+// goroutine; callers that must know their address before building h
+// (a worker naming its job IDs) bind first and call this after. The
+// channel receives the terminal Serve error.
+func Serve(ln net.Listener, h http.Handler) (*http.Server, <-chan error) {
 	srv := &http.Server{
 		Handler:           h,
 		ReadHeaderTimeout: 10 * time.Second,
@@ -24,5 +33,5 @@ func StartHTTP(addr string, h http.Handler) (*http.Server, string, <-chan error,
 	errCh := make(chan error, 1)
 	//tlrob:allow(bounded: Serve returns on srv.Shutdown/Close and the terminal error parks in the buffered errCh)
 	go func() { errCh <- srv.Serve(ln) }()
-	return srv, ln.Addr().String(), errCh, nil
+	return srv, errCh
 }

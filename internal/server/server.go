@@ -128,6 +128,12 @@ type Config struct {
 	MaxBudget    uint64        // largest accepted per-thread budget (default 5M)
 	Logf         func(format string, args ...any)
 
+	// SelfURL is this worker's advertised base URL, spelled exactly as
+	// the coordinator's member list spells it. When set, job IDs start
+	// with NodeTag(SelfURL), so any coordinator can route a job-scoped
+	// request from the ID alone; empty keeps untagged IDs.
+	SelfURL string
+
 	// PeerFill, when set (cluster mode), is consulted after a local
 	// cache miss and before enqueueing a simulation: if a peer node
 	// already holds the result for key, it is adopted into the local
@@ -216,6 +222,7 @@ type Server struct {
 	jobs     map[string]*Job // by job ID, for status lookups
 	active   map[string]*Job // by cache key, for singleflight
 	seq      uint64
+	tag      string // NodeTag(cfg.SelfURL), or "" for untagged job IDs
 
 	//tlrob:allow(process-lifetime base context, the http.Server.BaseContext pattern; jobs derive from it)
 	baseCtx    context.Context
@@ -260,6 +267,9 @@ func New(cfg Config) (*Server, error) {
 		active:     make(map[string]*Job),
 		baseCtx:    ctx,
 		baseCancel: cancel,
+	}
+	if cfg.SelfURL != "" {
+		s.tag = NodeTag(cfg.SelfURL)
 	}
 	s.simulate = s.runSweep
 	for w := 0; w < cfg.Workers; w++ {
@@ -355,7 +365,7 @@ func (s *Server) Submit(ctx context.Context, spec RunSpec, detach bool) (*Job, [
 		delete(s.active, key)
 	}
 	s.seq++
-	id := fmt.Sprintf("%s-%d", key[:12], s.seq)
+	id := jobID(s.tag, key, s.seq)
 	ctx, cancel := context.WithCancelCause(s.baseCtx)
 	j := &Job{
 		ID:        id,

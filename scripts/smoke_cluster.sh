@@ -14,6 +14,10 @@
 #   - after the membership change and the primary's death, a repeat
 #     sweep's cache-hit ratio does not regress (replication + handoff
 #     mean the dead node's keys are still served without re-simulating)
+#   - a second coordinator over the same member list serves a job
+#     submitted through the first (status poll to done, /events), since
+#     job IDs name their worker; after the first coordinator is
+#     SIGKILLed, a sweep through the second passes the load gate
 #   - the load summaries pass the checkbench -load gate
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -51,7 +55,8 @@ COUT="$BINDIR/coord.out"
 # double-simulate specs: this smoke asserts exact simulation counts.
 "$BINDIR/simd" -coordinator -peers "$PEERS" -addr 127.0.0.1:0 -replicas 3 \
   -hedge-min 30s -hedge-max 30s >"$COUT" 2>"$BINDIR/coord.log" &
-PIDS+=($!)
+COORD_PID=$!
+PIDS+=($COORD_PID)
 for _ in $(seq 1 100); do
   grep -q 'listening on' "$COUT" 2>/dev/null && break
   sleep 0.1
@@ -155,5 +160,39 @@ RATE1=$(jq .cache_hit_rate "$LOAD_JSON")
 LOAD3_JSON="$BINDIR/load3.json"
 "$BINDIR/simdload" -url "$COORD" -n 120 -c 16 -tenants 4 -specs 8 -budget 3000 -json "$LOAD3_JSON"
 "$BINDIR/checkbench" -load -min-rps 1 -min-hit-rate "$RATE1" "$LOAD3_JSON"
+
+echo "==> a second coordinator serves jobs submitted through the first"
+MEMBERS=$(curl -fsS "$COORD/v1/members" | jq -r '.members | join(",")')
+COUT2="$BINDIR/coord2.out"
+"$BINDIR/simd" -coordinator -peers "$MEMBERS" -addr 127.0.0.1:0 -replicas 3 \
+  -hedge-min 30s -hedge-max 30s >"$COUT2" 2>"$BINDIR/coord2.log" &
+PIDS+=($!)
+for _ in $(seq 1 100); do
+  grep -q 'listening on' "$COUT2" 2>/dev/null && break
+  sleep 0.1
+done
+COORD2="http://$(awk '/listening on/ {print $NF; exit}' "$COUT2")"
+for _ in $(seq 1 50); do
+  curl -fsS "$COORD2/healthz" >/dev/null 2>&1 && break
+  sleep 0.2
+done
+# A never-seen spec, so the async submit is a miss and returns a job ID.
+ID=$(curl -fsS -X POST "$COORD/v1/runs" \
+  -d '{"scheme":"prob","mixes":["Mix 3"],"budget":3000,"seed":424242}' | jq -r .id)
+[ -n "$ID" ] && [ "$ID" != null ] || { echo "async submit via $COORD returned no job id"; exit 1; }
+for _ in $(seq 1 100); do
+  STATUS=$(curl -fsS "$COORD2/v1/runs/$ID" | jq -r .status || true)
+  [ "$STATUS" = done ] && break
+  sleep 0.2
+done
+[ "$STATUS" = done ] || { echo "job $ID polled via $COORD2 ended as $STATUS"; exit 1; }
+curl -fsS "$COORD2/v1/runs/$ID/events" | tail -n 1 | jq -e '.type == "done"' >/dev/null \
+  || { echo "event stream via $COORD2 did not end in done"; exit 1; }
+
+echo "==> SIGKILL the first coordinator, the second keeps serving"
+kill -9 "$COORD_PID"
+LOAD4_JSON="$BINDIR/load4.json"
+"$BINDIR/simdload" -url "$COORD2" -n 60 -c 8 -tenants 4 -specs 8 -budget 3000 -json "$LOAD4_JSON"
+"$BINDIR/checkbench" -load -min-rps 1 "$LOAD4_JSON"
 
 echo "OK"
