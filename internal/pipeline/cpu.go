@@ -181,12 +181,15 @@ type CPU struct {
 	skipAhead bool
 	// polSkip is the policy's skip-ahead hook (nil when absent).
 	polSkip policy.CycleSkipper
+	// stepped counts the cycles stepCycle simulated one at a time (the
+	// rest were skipped). Tests read it; it stays out of Result so the
+	// two engines' Results still compare equal.
+	stepped int64
 
 	// tel is nil when telemetry is disabled; the per-cycle collector
 	// calls are guarded by that nil check. telState is the reusable
-	// per-cycle snapshot; it is always allocated — dispatch records each
-	// thread's outcome into it unconditionally because the skip decision
-	// needs the blocking causes even with telemetry off.
+	// per-cycle snapshot; it is always allocated, so dispatch records
+	// each thread's outcome into it without a nil check of its own.
 	tel      *telemetry.Collector
 	telState *telemetry.CycleState
 }
@@ -328,11 +331,10 @@ func watchdogCycles(budget uint64, cfgMax int64) int64 {
 
 // stepCycle simulates exactly cycle c.now — every stage, in order — and
 // reports whether a thread reached its commit budget (the stop rule).
-// It leaves c.telState describing the cycle's per-thread dispatch
-// outcome for the skip decision in advance.
 //
 //tlrob:allocfree (the per-cycle body: every call is one simulated cycle)
 func (c *CPU) stepCycle(budget uint64) bool {
+	c.stepped++
 	c.telState.Reset()
 	c.writeback()
 	if done := c.commit(budget); done {
@@ -393,7 +395,7 @@ func (c *CPU) result() Result {
 // never reached are classified here, then the occupancy snapshot is
 // taken and the cycle committed to the collector. Runs only when
 // telemetry is enabled; the state is reset at the top of the next
-// stepCycle, not here, because the skip decision still needs it.
+// stepCycle.
 //
 //tlrob:allocfree
 func (c *CPU) recordTelemetry() {

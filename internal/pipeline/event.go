@@ -20,48 +20,71 @@ type event struct {
 
 // eventHeap is a binary min-heap on the fire cycle. Hand-rolled to avoid
 // interface boxing in the per-cycle hot path.
+//
+// The pop order of events that share a fire cycle is part of the timing
+// model: writeback handles them in that order, so it decides which
+// completion wakes its consumers, frees its resources or squashes first.
+// The order falls out of this exact sift discipline — `<=` stops a
+// sift-up, a child must be strictly earlier to sift down, and the left
+// child wins a tie between children. Breaking ties any other way (an
+// explicit (at, kind, seq) key, a d-ary heap, a timing wheel) changes
+// simulated results, so any such change is a model change.
+// TestEventHeapMatchesReference pins the order against the original
+// swap-based heap.
 type eventHeap struct {
 	items []event
 }
 
 func (h *eventHeap) len() int { return len(h.items) }
 
+// push sifts a hole up from the new leaf, shifting later parents down,
+// and writes e once where the hole stops.
 func (h *eventHeap) push(e event) {
 	h.items = append(h.items, e)
-	i := len(h.items) - 1
+	items := h.items
+	i := len(items) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if h.items[parent].at <= h.items[i].at {
+		if items[parent].at <= e.at {
 			break
 		}
-		h.items[parent], h.items[i] = h.items[i], h.items[parent]
+		items[i] = items[parent]
 		i = parent
 	}
+	items[i] = e
 }
 
 // peekAt returns the earliest fire cycle; callers must check len first.
 func (h *eventHeap) peekAt() int64 { return h.items[0].at }
 
+// pop removes the root and sifts a hole down from it, shifting strictly
+// earlier children up, and writes the former last element once where the
+// hole stops.
 func (h *eventHeap) pop() event {
-	top := h.items[0]
-	last := len(h.items) - 1
-	h.items[0] = h.items[last]
-	h.items = h.items[:last]
+	items := h.items
+	top := items[0]
+	last := len(items) - 1
+	e := items[last]
+	items = items[:last]
+	h.items = items
+	n := len(items)
 	i := 0
 	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < len(h.items) && h.items[l].at < h.items[smallest].at {
-			smallest = l
-		}
-		if r < len(h.items) && h.items[r].at < h.items[smallest].at {
-			smallest = r
-		}
-		if smallest == i {
+		c := 2*i + 1
+		if c >= n {
 			break
 		}
-		h.items[i], h.items[smallest] = h.items[smallest], h.items[i]
-		i = smallest
+		if r := c + 1; r < n && items[r].at < items[c].at {
+			c = r
+		}
+		if items[c].at >= e.at {
+			break
+		}
+		items[i] = items[c]
+		i = c
+	}
+	if n > 0 { // else e was the root itself
+		items[i] = e
 	}
 	return top
 }

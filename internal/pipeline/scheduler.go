@@ -52,10 +52,12 @@ func (c *CPU) advance(maxCycles int64) bool {
 //   - commit: an executed ring head commits next cycle.
 //   - issue: a ready IQ entry either issues or re-counts an FU/LSQ
 //     conflict every cycle, so any ready entry forces simulation.
-//   - rob.TwoLevel: an undecided miss record's evaluation comes due at
-//     NextDue() (early-but-never-late, so waking at it is safe); a
-//     pending grant retry with a free partition cannot outlive a Tick,
-//     but is re-checked defensively.
+//   - rob.TwoLevel: NextDue() is the earliest recheck of an undecided
+//     miss record that is not blocked against the current rings. A
+//     blocked recheck stays blocked while the rings are frozen, so it
+//     is no wake-up; rob.FastForward rolls it past the span. A pending
+//     grant retry with a free partition cannot outlive a Tick, but is
+//     re-checked defensively.
 //   - dispatch: a fetch-queue head that clears the front-end pipeline
 //     at readyAt becomes dispatch-eligible then. A head that is already
 //     eligible but did not dispatch was resource-blocked, and every
@@ -69,12 +71,6 @@ func (c *CPU) advance(maxCycles int64) bool {
 //tlrob:allocfree
 func (c *CPU) nextInterestingCycle() int64 {
 	next := c.now + 1
-	st := c.telState
-	for t := range c.threads {
-		if st.Dispatched[t] != 0 {
-			return next // window state is in motion
-		}
-	}
 	for t := range c.threads {
 		if h := c.rob.Ring(t).Head(); h != nil && h.Executed {
 			return next // a commit is pending
@@ -89,11 +85,11 @@ func (c *CPU) nextInterestingCycle() int64 {
 
 	horizon := int64(math.MaxInt64)
 	if c.events.len() > 0 {
-		if at := c.events.peekAt(); at < horizon {
-			horizon = at
-		}
+		horizon = c.events.peekAt()
 	}
-	if c.rob.Undecided() > 0 {
+	// NextDue scans the undecided miss records, so it is asked only when
+	// no event already pins the very next cycle.
+	if horizon > next {
 		if due := c.rob.NextDue(); due < horizon {
 			horizon = due
 		}
@@ -103,8 +99,8 @@ func (c *CPU) nextInterestingCycle() int64 {
 		// cycle, so no skip is possible — the remaining checks could only
 		// lower the horizon further or return next themselves. Bailing out
 		// here keeps the snapshot rebuild and gate dry-runs off the dense
-		// stretches (reactive rechecks every few cycles, back-to-back
-		// completions) where they could not pay off.
+		// stretches (back-to-back completions) where they could not pay
+		// off.
 		return next
 	}
 	snapsFresh := false

@@ -104,6 +104,37 @@ func TestSkipAheadMatchesNaive(t *testing.T) {
 	}
 }
 
+// TestSkipAheadMatchesNaiveRecheckIntervals covers the closed-form
+// roll-forward of blocked reactive rechecks (rob.FastForward) off the
+// paper's 10-cycle period: an interval of 1 makes every skipped cycle a
+// recheck, and 7 puts the rechecks out of phase with the memory latency.
+func TestSkipAheadMatchesNaiveRecheckIntervals(t *testing.T) {
+	seeds := []uint64{1, 2, 3}
+	if testing.Short() {
+		seeds = seeds[:1]
+	}
+	for _, scheme := range []rob.Scheme{rob.Reactive, rob.RelaxedReactive} {
+		for _, iv := range []int{1, 7} {
+			for _, mix := range []string{"Mix 1", "Mix 3"} {
+				for _, seed := range seeds {
+					for _, tel := range []bool{false, true} {
+						t.Run(fmt.Sprintf("%v/iv%d/%s/seed%d/tel=%v", scheme, iv, mix, seed, tel), func(t *testing.T) {
+							rc := rob.DefaultConfig(4, scheme, 16)
+							rc.RecheckInterval = iv
+							cfg := DefaultConfig(4, rc)
+							if tel {
+								cfg.Telemetry = &telemetry.Config{}
+							}
+							naive, fast := runBothEngines(t, cfg, mix, seed, 3000)
+							requireIdentical(t, naive, fast)
+						})
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestSkipAheadMatchesNaivePolicies covers the fetch policies whose
 // admission decisions gate the fetch wake-up logic — FLUSH in
 // particular exercises flushWait spans and squash-refill attribution.
@@ -212,5 +243,44 @@ func TestConfigBubbleDefaults(t *testing.T) {
 	b := run(t, baselineCfg(4, 32), mixSources(t, "Mix 1", 1), diffBudget)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("zero-valued bubble knobs changed timing relative to the defaults")
+	}
+}
+
+// steppedShare runs cfg on mix with the skip-ahead engine and returns
+// the share of its cycles that stepCycle simulated one at a time.
+func steppedShare(t *testing.T, cfg Config, mix string, seed, budget uint64) float64 {
+	t.Helper()
+	c, err := New(cfg, mixSources(t, mix, seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.Run(budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return float64(c.stepped) / float64(res.Cycles)
+}
+
+// TestReactiveRechecksDoNotForceSteps guards the skip-ahead engine's
+// speed on the reactive schemes without timing noise. They recheck each
+// pending L2 miss every 10 cycles; a recheck whose structural condition
+// fails against frozen rings cannot succeed, so it must not wake the
+// engine. While such rechecks were wake-ups, 0.71–0.77 of Mix 1's cycles
+// (seeds 1–3, budget 2000) were stepped one at a time; as decisive
+// wake-ups they step 0.18–0.24, next to Baseline_32's 0.19–0.20.
+func TestReactiveRechecksDoNotForceSteps(t *testing.T) {
+	const bound = 0.45
+	for _, sc := range []struct {
+		name string
+		cfg  rob.Config
+	}{
+		{"RROB_16", rob.DefaultConfig(4, rob.Reactive, 16)},
+		{"RelaxedRROB_15", rob.DefaultConfig(4, rob.RelaxedReactive, 15)},
+	} {
+		for seed := uint64(1); seed <= 3; seed++ {
+			if share := steppedShare(t, DefaultConfig(4, sc.cfg), "Mix 1", seed, 2000); share >= bound {
+				t.Errorf("%s Mix 1 seed %d: %.3f of cycles stepped, want < %.2f", sc.name, seed, share, bound)
+			}
+		}
 	}
 }

@@ -217,8 +217,8 @@ func (c *CPU) dispatch() {
 	budget := c.cfg.DispatchWidth
 	n := c.cfg.Threads
 	tid := c.dispatchRR
-	// telState is always present: beyond telemetry, the skip-ahead
-	// engine's idle proof needs the per-thread dispatch outcome.
+	// telState is always present, so the per-thread outcome is recorded
+	// unconditionally; only telemetry reads it.
 	st := c.telState
 	for i := 0; i < n && budget > 0; i++ {
 		if i > 0 {

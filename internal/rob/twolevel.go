@@ -1,6 +1,9 @@
 package rob
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Scheme selects how (and whether) the second ROB level is allocated.
 type Scheme uint8
@@ -196,7 +199,8 @@ type TwoLevel struct {
 	// skipped until that cycle. It may run early (after removals) but
 	// never late, so evaluations happen on exactly the same cycles.
 	// globalDue is the same bound across all threads, letting Tick return
-	// before even the per-thread loop.
+	// before even the per-thread loop. FastForward recomputes both exactly
+	// after rolling blocked rechecks past a skipped span.
 	nextDue   []int64
 	globalDue int64
 }
@@ -276,16 +280,34 @@ func (t *TwoLevel) CanDispatch(tid int) bool {
 // Stats returns the manager counters.
 func (t *TwoLevel) Stats() Stats { return t.stats }
 
-// NextDue returns the conservative earliest cycle at which a Tick scan
-// could take an observable action for an undecided miss record (the
-// globalDue bound: may be early, never late). Meaningful only while
-// Undecided() > 0; the pipeline's skip-ahead engine uses it as the
-// manager's next-interesting-cycle wake point.
-func (t *TwoLevel) NextDue() int64 { return t.globalDue }
-
-// Undecided returns how many tracked misses still await an allocation
-// decision.
-func (t *TwoLevel) Undecided() int { return t.undecided }
+// NextDue returns the earliest cycle at which a Tick could take an
+// observable action for an undecided miss record, or math.MaxInt64 when
+// none can: the earliest nextCheckAt among undecided records whose
+// recheck is not blocked against the rings as they stand. A blocked
+// recheck only reschedules itself, and it stays blocked for as long as
+// the rings do not move — no dispatch, commit, squash or event — so the
+// pipeline's skip-ahead engine may jump past it and let FastForward roll
+// it forward in closed form.
+//
+//tlrob:allocfree
+func (t *TwoLevel) NextDue() int64 {
+	due := int64(math.MaxInt64)
+	if t.undecided == 0 {
+		return due
+	}
+	for tid, recs := range t.misses {
+		if t.pending[tid] == 0 {
+			continue
+		}
+		for i := range recs {
+			rec := &recs[i]
+			if !rec.decided && rec.nextCheckAt < due && !t.recheckBlocked(tid, rec) {
+				due = rec.nextCheckAt
+			}
+		}
+	}
+	return due
+}
 
 // PendingRetry reports whether some decided-yes miss is still waiting
 // for the partition to free. After any Tick this implies the partition
@@ -296,10 +318,15 @@ func (t *TwoLevel) PendingRetry() bool { return t.retries > 0 }
 
 // FastForward advances the per-cycle bookkeeping over a span of cycles
 // the caller has proven to be no-ops for the manager: no miss events, no
-// evaluation due (now stays below NextDue for every skipped cycle), no
-// grant retry that could succeed, and no release pending. lastTick is
-// the last cycle of the skipped span — Tick(lastTick) is what the
-// bookkeeping ends up equivalent to — and k is the span length.
+// unblocked evaluation due (the span ends at or before NextDue), no
+// grant retry that could succeed, no release pending, and rings that do
+// not move. lastTick is the last cycle of the skipped span — Tick(lastTick)
+// is what the bookkeeping ends up equivalent to — and k is the span
+// length.
+//
+// Every recheck that fell due inside the span was blocked, so each of
+// those Ticks only moved it RecheckInterval cycles on; the record lands
+// on the first such cycle after lastTick.
 //
 //tlrob:allocfree
 func (t *TwoLevel) FastForward(lastTick int64, k int64) {
@@ -311,6 +338,34 @@ func (t *TwoLevel) FastForward(lastTick int64, k int64) {
 		return
 	}
 	t.tickRot += int(k)
+	if t.undecided == 0 {
+		return
+	}
+	iv := int64(t.cfg.RecheckInterval)
+	gd := int64(1) << 62
+	for tid, recs := range t.misses {
+		if t.pending[tid] == 0 {
+			continue
+		}
+		due := int64(1) << 62
+		for i := range recs {
+			rec := &recs[i]
+			if rec.decided {
+				continue
+			}
+			if rec.nextCheckAt <= lastTick {
+				rec.nextCheckAt += iv * ((lastTick - rec.nextCheckAt + iv) / iv)
+			}
+			if rec.nextCheckAt < due {
+				due = rec.nextCheckAt
+			}
+		}
+		t.nextDue[tid] = due
+		if due < gd {
+			gd = due
+		}
+	}
+	t.globalDue = gd
 }
 
 // Predictor returns the DoD predictor (nil unless Predictive).
@@ -545,33 +600,41 @@ func (t *TwoLevel) Tick(now int64) {
 	t.maybeRelease()
 }
 
+// recheckBlocked reports whether rec's reactive structural condition
+// fails against tid's ring as it stands, so an evaluation now would only
+// reschedule the recheck. It is the one statement of that condition:
+// evaluate acts on it and NextDue wakes only for records it clears.
+//
+//tlrob:allocfree
+func (t *TwoLevel) recheckBlocked(tid int, rec *missRecord) bool {
+	ring := t.rings[tid]
+	switch t.cfg.Scheme {
+	case Reactive:
+		return !ring.IsOldest(rec.slot) || ring.Len() < t.cfg.L1Size
+	case RelaxedReactive:
+		return !ring.IsOldest(rec.slot)
+	case CountDelayedReactive:
+		// Delay already encoded in nextCheckAt; no structural conditions.
+		return false
+	case Baseline, Predictive, SharedSingle:
+		// Undecided records exist only under the reactive schemes;
+		// Predictive decides at MissDetected and Baseline/SharedSingle
+		// never allocate a second level.
+		panic("rob: recheck under non-reactive scheme " + t.cfg.Scheme.String())
+	default:
+		panic("rob: recheck under unknown scheme")
+	}
+}
+
 // evaluate runs one reactive-condition check for a tracked miss.
 //
 //tlrob:allocfree
 func (t *TwoLevel) evaluate(tid int, rec *missRecord, now int64) {
-	ring := t.rings[tid]
-	switch t.cfg.Scheme {
-	case Reactive:
-		if !ring.IsOldest(rec.slot) || ring.Len() < t.cfg.L1Size {
-			rec.nextCheckAt = now + int64(t.cfg.RecheckInterval)
-			return
-		}
-	case RelaxedReactive:
-		if !ring.IsOldest(rec.slot) {
-			rec.nextCheckAt = now + int64(t.cfg.RecheckInterval)
-			return
-		}
-	case CountDelayedReactive:
-		// Delay already encoded in nextCheckAt; no structural conditions.
-	case Baseline, Predictive, SharedSingle:
-		// Misses are only tracked (and evaluate reached) under the
-		// reactive schemes; Predictive decides at MissDetected and
-		// Baseline/SharedSingle never allocate a second level.
-		panic("rob: evaluate called under non-reactive scheme " + t.cfg.Scheme.String())
-	default:
-		panic("rob: evaluate called with unknown scheme")
+	if t.recheckBlocked(tid, rec) {
+		rec.nextCheckAt = now + int64(t.cfg.RecheckInterval)
+		return
 	}
-	dod := ApproxDoD(ring, rec.slot)
+	dod := ApproxDoD(t.rings[tid], rec.slot)
 	rec.decided = true
 	t.undecided--
 	t.pending[tid]--
