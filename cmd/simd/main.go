@@ -14,10 +14,13 @@
 // on stdout ("simd listening on host:port") so scripts and tests can
 // scrape it.
 //
+// -replicas is the fleet's replication factor R (default 2) on both
+// roles: each result lives on its key's first R ring owners.
+//
 // With -peers the node joins a fleet: a local cache miss first asks the
 // key's ring owners over GET /v1/cache/{key} before simulating, and a
 // completed simulation is replicated to the key's other ring owners
-// (-replicas total copies) so one node death loses no result. The
+// (R copies in all) so one node death loses no result. The
 // coordinator pushes membership updates to POST /v1/members, so the
 // worker's ring follows the fleet as it grows and shrinks.
 //
@@ -27,11 +30,13 @@
 //
 // With -coordinator the process serves no simulations itself; it routes
 // each submission to its shard owner over a consistent-hash ring of
-// -peers, hedges stragglers onto the next replica, retries 429/503 on
-// other replicas, enforces per-tenant quotas, and aggregates fleet
-// state at /v1/fleet. Membership is dynamic: POST /v1/members adds or
-// removes workers at runtime, and SIGHUP re-reads -peer-file; either
-// path rebalances cached results onto the new ring in the background.
+// -peers, hedges stragglers onto the next owner, reroutes 429/503 to
+// the key's other owners (R+1 nodes in all: the R that can hold the
+// result plus one that can simulate it), enforces per-tenant quotas,
+// and aggregates fleet state at /v1/fleet. Membership is dynamic:
+// POST /v1/members adds or removes workers at runtime, and SIGHUP
+// re-reads -peer-file; either path rebalances cached results onto the
+// first R owners of the new ring in the background.
 //
 // SIGINT/SIGTERM drains gracefully: submissions get 503, queued and
 // running jobs finish (up to -drain-timeout), then the process exits.
@@ -64,23 +69,20 @@ func main() {
 		workers      = flag.Int("workers", 2, "concurrent jobs")
 		simWorkers   = flag.Int("sim-workers", 0, "goroutines per job's sweep (0 = all cores)")
 		jobTimeout   = flag.Duration("job-timeout", 10*time.Minute, "per-job deadline")
-		retries      = flag.Int("retries", 2, "retry budget for transient failures")
 		maxBudget    = flag.Uint64("max-budget", 5_000_000, "largest accepted per-thread instruction budget")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "graceful drain limit on shutdown")
 
-		peers         = flag.String("peers", "", "comma-separated fleet base URLs (workers: peer cache fill + replication; coordinator: the ring)")
-		peerFile      = flag.String("peer-file", "", "coordinator: file of fleet base URLs (one per line); SIGHUP re-reads it and rebalances")
-		selfURL       = flag.String("self-url", "", "this worker's advertised base URL, spelled as in the coordinator's member list; names its job IDs and its place in -peers (default http://<bound addr>)")
-		coordinator   = flag.Bool("coordinator", false, "run as the fleet coordinator instead of a worker")
-		vnodes        = flag.Int("vnodes", 64, "virtual nodes per ring member")
-		replicas      = flag.Int("replicas", 0, "coordinator: distinct nodes a submission may try (default 3); worker: total copies of each result across the fleet (default 2)")
-		writeReplicas = flag.Int("write-replicas", 2, "coordinator: copies each result should have across the fleet (handoff target placement)")
-		hedgeQ        = flag.Float64("hedge-quantile", 0.95, "latency percentile after which a backup request is hedged")
-		hedgeMin      = flag.Duration("hedge-min", 100*time.Millisecond, "hedge delay floor (also the cold-start delay)")
-		hedgeMax      = flag.Duration("hedge-max", 5*time.Second, "hedge delay ceiling")
-		quotaRate     = flag.Float64("quota-rate", 0, "per-tenant submissions/sec (0 disables quotas)")
-		quotaBurst    = flag.Float64("quota-burst", 0, "per-tenant burst (default 2x rate)")
-		maxInflight   = flag.Int("max-inflight", 128, "concurrent forwards; excess waits in weighted-fair order")
+		peers       = flag.String("peers", "", "comma-separated fleet base URLs (workers: peer cache fill + replication; coordinator: the ring)")
+		peerFile    = flag.String("peer-file", "", "coordinator: file of fleet base URLs (one per line); SIGHUP re-reads it and rebalances")
+		selfURL     = flag.String("self-url", "", "this worker's advertised base URL, spelled as in the coordinator's member list; names its job IDs and its place in -peers (default http://<bound addr>)")
+		coordinator = flag.Bool("coordinator", false, "run as the fleet coordinator instead of a worker")
+		vnodes      = flag.Int("vnodes", 64, "virtual nodes per ring member")
+		replicas    = flag.Int("replicas", 2, "replication factor R: each result lives on its key's first R ring owners; a coordinator tries R+1 owners per submission")
+		hedgeMin    = flag.Duration("hedge-min", 100*time.Millisecond, "hedge delay floor (also the cold-start delay)")
+		hedgeMax    = flag.Duration("hedge-max", 5*time.Second, "hedge delay ceiling")
+		quotaRate   = flag.Float64("quota-rate", 0, "per-tenant submissions/sec (0 disables quotas)")
+		quotaBurst  = flag.Float64("quota-burst", 0, "per-tenant burst (default 2x rate)")
+		maxInflight = flag.Int("max-inflight", 128, "concurrent forwards; excess waits in fair order across tenants")
 	)
 	flag.Parse()
 	log.SetPrefix("simd: ")
@@ -98,8 +100,6 @@ func main() {
 			Peers:         peerList,
 			VNodes:        *vnodes,
 			Replicas:      *replicas,
-			WriteReplicas: *writeReplicas,
-			HedgeQuantile: *hedgeQ,
 			HedgeAfterMin: *hedgeMin,
 			HedgeAfterMax: *hedgeMax,
 			QuotaRate:     *quotaRate,
@@ -142,7 +142,6 @@ func main() {
 		Workers:    *workers,
 		SimWorkers: *simWorkers,
 		JobTimeout: *jobTimeout,
-		Retries:    *retries,
 		MaxBudget:  *maxBudget,
 		Logf:       log.Printf,
 		SelfURL:    self,

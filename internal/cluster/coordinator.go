@@ -25,17 +25,16 @@ type CoordinatorConfig struct {
 	Peers []string
 	// VNodes per ring member (default 64).
 	VNodes int
-	// Replicas caps how many distinct nodes one submission may try
-	// across reroutes and hedges (default 3, clamped to the fleet
-	// size).
+	// Replicas is the fleet's replication factor R (default 2): the
+	// handoff pass places each result on its key's first R ring owners.
+	// A submission may try the first R+1 across reroutes and hedges: the
+	// R that can hold the result plus one that can simulate it.
 	Replicas int
 
-	// HedgeQuantile picks the observed-latency percentile after which
-	// a second request is hedged onto the next replica (default 0.95).
-	// HedgeAfterMin/Max clamp the computed delay (defaults 100ms / 5s);
-	// the Min also serves as the cold-start delay before any latency
-	// has been observed.
-	HedgeQuantile float64
+	// A second request is hedged onto the next owner once a forward
+	// outlives the p95 of observed latencies. HedgeAfterMin/Max clamp
+	// that delay (defaults 100ms / 5s); the Min also serves as the
+	// cold-start delay before any latency has been observed.
 	HedgeAfterMin time.Duration
 	HedgeAfterMax time.Duration
 
@@ -45,25 +44,12 @@ type CoordinatorConfig struct {
 	HealthTimeout  time.Duration
 
 	// MaxInflight bounds concurrent forwards; excess submissions wait
-	// in weighted-fair order (default 128).
+	// in fair order across tenants (default 128).
 	MaxInflight int
-	// TenantWeight maps a tenant to its fair-queue share (nil = all 1).
-	TenantWeight func(tenant string) float64
 	// QuotaRate/QuotaBurst are the per-tenant token bucket
 	// (tokens/sec; rate <= 0 disables quotas, default disabled).
 	QuotaRate  float64
 	QuotaBurst float64
-
-	// WriteReplicas is the durability factor R the fleet aims for: each
-	// result should live on its key's first R ring owners (workers
-	// replicate on completion; the handoff pass restores placement after
-	// membership changes). Default 2 — primary plus one replica.
-	WriteReplicas int
-	// HandoffConcurrency bounds parallel key moves in a handoff pass
-	// (default 4); HandoffTimeout bounds each list/fetch/push op
-	// (default 15s).
-	HandoffConcurrency int
-	HandoffTimeout     time.Duration
 
 	// MaxBudget mirrors the workers' largest accepted per-thread
 	// instruction budget so routing rejects what workers would (0 =
@@ -79,13 +65,10 @@ func (c CoordinatorConfig) withDefaults() CoordinatorConfig {
 		c.VNodes = 64
 	}
 	if c.Replicas <= 0 {
-		c.Replicas = 3
+		c.Replicas = 2
 	}
 	// Replicas is deliberately not clamped to len(Peers): membership is
 	// dynamic, and Ring.Owners caps at the fleet's current size anyway.
-	if c.HedgeQuantile <= 0 || c.HedgeQuantile >= 1 {
-		c.HedgeQuantile = 0.95
-	}
 	if c.HedgeAfterMin <= 0 {
 		c.HedgeAfterMin = 100 * time.Millisecond
 	}
@@ -103,15 +86,6 @@ func (c CoordinatorConfig) withDefaults() CoordinatorConfig {
 	}
 	if c.QuotaBurst <= 0 {
 		c.QuotaBurst = 2 * c.QuotaRate
-	}
-	if c.WriteReplicas <= 0 {
-		c.WriteReplicas = 2
-	}
-	if c.HandoffConcurrency <= 0 {
-		c.HandoffConcurrency = 4
-	}
-	if c.HandoffTimeout <= 0 {
-		c.HandoffTimeout = 15 * time.Second
 	}
 	if c.Client == nil {
 		c.Client = &http.Client{}
@@ -181,7 +155,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		cfg:           cfg,
 		ring:          ring,
 		quotas:        NewQuotas(cfg.QuotaRate, cfg.QuotaBurst),
-		fairq:         NewFairQueue(cfg.MaxInflight, cfg.TenantWeight),
+		fairq:         NewFairQueue(cfg.MaxInflight),
 		lat:           newLatencyTracker(512),
 		stopHealth:    make(chan struct{}),
 		handoffCtx:    hctx,
@@ -207,9 +181,10 @@ func (c *Coordinator) Close() {
 	c.syncWG.Wait()
 }
 
-// Owners exposes the routing decision for key (tests, debugging).
+// Owners is the forward set for key in preference order: its first R+1
+// ring owners (tests, debugging).
 func (c *Coordinator) Owners(key string) []string {
-	return c.ring.Owners(key, c.cfg.Replicas)
+	return c.ring.Owners(key, c.cfg.Replicas+1)
 }
 
 // Ring exposes the membership ring (cmd/simd -coordinator logging).
@@ -225,6 +200,8 @@ func (c *Coordinator) healthLoop() {
 			return
 		case <-ticker.C:
 			c.probeAll()
+			c.quotas.Prune()
+			c.fairq.Prune()
 		}
 	}
 }
@@ -354,9 +331,9 @@ func (c *Coordinator) setAlive(node string, alive bool) {
 }
 
 // hedgeDelay is the current wait before firing a backup request: the
-// configured percentile of recent forward latencies, clamped.
+// p95 of recent forward latencies, clamped.
 func (c *Coordinator) hedgeDelay() time.Duration {
-	d := c.lat.Quantile(c.cfg.HedgeQuantile)
+	d := c.lat.Quantile(0.95)
 	if d < c.cfg.HedgeAfterMin {
 		d = c.cfg.HedgeAfterMin
 	}

@@ -40,15 +40,13 @@ func startWorker(t *testing.T, mutate func(*server.Config)) (*worker, *func(ctx 
 	ts := httptest.NewUnstartedServer(nil)
 	url := "http://" + ts.Listener.Addr().String()
 	cfg := server.Config{
-		SelfURL:      url,
-		Store:        st,
-		QueueSize:    16,
-		Workers:      2,
-		SimWorkers:   2,
-		JobTimeout:   time.Minute,
-		Retries:      0,
-		RetryBackoff: time.Millisecond,
-		Logf:         t.Logf,
+		SelfURL:    url,
+		Store:      st,
+		QueueSize:  16,
+		Workers:    2,
+		SimWorkers: 2,
+		JobTimeout: time.Minute,
+		Logf:       t.Logf,
 		PeerFill: func(ctx context.Context, key string) ([]byte, bool) {
 			if fill == nil {
 				return nil, false
@@ -458,6 +456,58 @@ func TestRerouteOn429(t *testing.T) {
 	}
 	if st := c.Stats(); st.Reroutes429 < 1 {
 		t.Fatalf("429 reroute not counted: %+v", st)
+	}
+}
+
+// TestForwardSetIsRPlusOne pins what Replicas means on the forward
+// path: with every node pushing back, a submission tries exactly the
+// key's first R+1 owners, each once — the R that can hold the result
+// plus one that can simulate it.
+func TestForwardSetIsRPlusOne(t *testing.T) {
+	for _, tc := range []struct{ replicas, want int }{{1, 2}, {2, 3}} {
+		var mu sync.Mutex
+		dials := map[string]int{}
+		urls := make([]string, 3)
+		for i := range urls {
+			stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.URL.Path == "/healthz" {
+					return
+				}
+				mu.Lock()
+				dials[r.Host]++
+				mu.Unlock()
+				http.Error(w, `{"error":"queue full"}`, http.StatusTooManyRequests)
+			}))
+			defer stub.Close()
+			urls[i] = stub.URL
+		}
+		c, err := NewCoordinator(CoordinatorConfig{
+			Peers:          urls,
+			VNodes:         16,
+			Replicas:       tc.replicas,
+			HedgeAfterMin:  time.Minute,
+			HedgeAfterMax:  time.Minute,
+			HealthInterval: time.Hour,
+			Logf:           t.Logf,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := submitVia(t, c.Handler(), testSpec(1), "")
+		c.Close()
+		if r.status != http.StatusTooManyRequests {
+			t.Fatalf("R=%d: status %d, want 429 once every owner pushed back", tc.replicas, r.status)
+		}
+		mu.Lock()
+		if len(dials) != tc.want {
+			t.Fatalf("R=%d: dialled %d distinct nodes %v, want %d", tc.replicas, len(dials), dials, tc.want)
+		}
+		for node, n := range dials {
+			if n != 1 {
+				t.Fatalf("R=%d: node %s dialled %d times, want once", tc.replicas, node, n)
+			}
+		}
+		mu.Unlock()
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"sort"
 	"sync"
+	"time"
 )
 
 // Key handoff: after any membership change the coordinator walks every
@@ -17,7 +18,7 @@ import (
 // their new primary over the existing GET/PUT /v1/cache/{key} path.
 //
 // The pass is:
-//   - bounded: at most HandoffConcurrency key moves run at once;
+//   - bounded: at most handoffConcurrency key moves run at once;
 //   - resumable: a key the target already holds is skipped, so an
 //     interrupted pass re-run from scratch only moves what is missing;
 //   - generation-checked: if membership changes again mid-pass the pass
@@ -27,6 +28,11 @@ import (
 // Old holders keep their copies — handoff only ever adds replicas.
 // Extra copies are harmless (the store is content-addressed) and mean a
 // botched change can be rolled back without data motion.
+
+const (
+	handoffConcurrency = 4                // key moves in flight per pass
+	handoffTimeout     = 15 * time.Second // each list/fetch/push op
+)
 
 // kickHandoff starts a background handoff pass, or flags a rerun if one
 // is already running. Safe to call from any goroutine.
@@ -101,12 +107,11 @@ func (c *Coordinator) runHandoff(ctx context.Context) {
 		holdings[m] = set
 	}
 
-	replicas := c.cfg.WriteReplicas
 	var moves []handoffMove
 	for _, m := range members {
 		for key := range holdings[m] {
 			c.handoffScanned.Add(1)
-			owners := c.ring.Owners(key, replicas)
+			owners := c.ring.Owners(key, c.cfg.Replicas)
 			owned := false
 			for _, o := range owners {
 				if o == m {
@@ -145,8 +150,7 @@ func (c *Coordinator) runHandoff(ctx context.Context) {
 	})
 	c.cfg.Logf("cluster: handoff: moving %d keys across %d members (ring gen %d)", len(moves), len(members), gen)
 
-	conc := c.cfg.HandoffConcurrency
-	sem := make(chan struct{}, conc)
+	sem := make(chan struct{}, handoffConcurrency)
 	var wg sync.WaitGroup
 	var aborted bool
 	for _, mv := range moves {
@@ -188,7 +192,7 @@ func (c *Coordinator) moveKey(ctx context.Context, mv handoffMove) error {
 
 // cacheKeys lists one member's cached content hashes (GET /v1/cache).
 func (c *Coordinator) cacheKeys(ctx context.Context, node string) ([]string, error) {
-	ctx, cancel := context.WithTimeout(ctx, c.cfg.HandoffTimeout)
+	ctx, cancel := context.WithTimeout(ctx, handoffTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, node+"/v1/cache", nil)
 	if err != nil {
@@ -212,7 +216,7 @@ func (c *Coordinator) cacheKeys(ctx context.Context, node string) ([]string, err
 }
 
 func (c *Coordinator) cacheGet(ctx context.Context, node, key string) ([]byte, error) {
-	ctx, cancel := context.WithTimeout(ctx, c.cfg.HandoffTimeout)
+	ctx, cancel := context.WithTimeout(ctx, handoffTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, fmt.Sprintf("%s/v1/cache/%s", node, key), nil)
 	if err != nil {
@@ -237,7 +241,7 @@ func (c *Coordinator) cacheGet(ctx context.Context, node, key string) ([]byte, e
 }
 
 func (c *Coordinator) cachePut(ctx context.Context, node, key string, data []byte) error {
-	ctx, cancel := context.WithTimeout(ctx, c.cfg.HandoffTimeout)
+	ctx, cancel := context.WithTimeout(ctx, handoffTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPut, fmt.Sprintf("%s/v1/cache/%s", node, key), bytes.NewReader(data))
 	if err != nil {

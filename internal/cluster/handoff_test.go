@@ -71,14 +71,12 @@ func startRepWorker(t *testing.T, urls []string) *repWorker {
 		mu         sync.Mutex
 	)
 	srv, err := server.New(server.Config{
-		Store:        st,
-		QueueSize:    16,
-		Workers:      2,
-		SimWorkers:   2,
-		JobTimeout:   time.Minute,
-		Retries:      0,
-		RetryBackoff: time.Millisecond,
-		Logf:         t.Logf,
+		Store:      st,
+		QueueSize:  16,
+		Workers:    2,
+		SimWorkers: 2,
+		JobTimeout: time.Minute,
+		Logf:       t.Logf,
 		PeerFill: func(ctx context.Context, key string) ([]byte, bool) {
 			mu.Lock()
 			f := filler
@@ -127,7 +125,7 @@ func startRepWorker(t *testing.T, urls []string) *repWorker {
 }
 
 // startReplicatedFleet boots n workers with R=2 replication plus a
-// coordinator whose WriteReplicas matches. Every node's ring spans the
+// coordinator whose Replicas matches. Every node's ring spans the
 // same member list.
 func startReplicatedFleet(t *testing.T, n int) ([]*repWorker, *Coordinator) {
 	t.Helper()
@@ -148,9 +146,7 @@ func startReplicatedFleet(t *testing.T, n int) ([]*repWorker, *Coordinator) {
 	c, err := NewCoordinator(CoordinatorConfig{
 		Peers:          urls,
 		VNodes:         16,
-		Replicas:       n,
-		WriteReplicas:  2,
-		HandoffTimeout: 5 * time.Second,
+		Replicas:       2,
 		HedgeAfterMin:  500 * time.Millisecond,
 		HealthInterval: time.Hour, // tests drive liveness explicitly
 		Logf:           t.Logf,

@@ -9,8 +9,8 @@ import (
 
 // Quotas is a per-tenant token-bucket rate limiter in front of the
 // coordinator. Every tenant gets the same rate/burst; buckets are
-// created lazily on first use and refilled on demand from elapsed
-// time, so an idle tenant costs nothing.
+// created lazily, refilled on demand from elapsed time and dropped by
+// Prune once full again, so an idle tenant costs nothing.
 type Quotas struct {
 	rate  float64 // tokens per second
 	burst float64
@@ -53,12 +53,8 @@ func (q *Quotas) Allow(tenant string) bool {
 		b = &bucket{tokens: q.burst, last: now}
 		q.buckets[tenant] = b
 	}
-	if dt := now.Sub(b.last).Seconds(); dt > 0 {
-		b.tokens += dt * q.rate
-		if b.tokens > q.burst {
-			b.tokens = q.burst
-		}
-		b.last = now
+	if now.After(b.last) {
+		b.tokens, b.last = q.refilled(b, now), now
 	}
 	if b.tokens < 1 {
 		return false
@@ -81,17 +77,34 @@ func (q *Quotas) RetryAfter(tenant string) time.Duration {
 	if !ok {
 		return 0 // fresh bucket starts full
 	}
-	tokens := b.tokens
-	if dt := now.Sub(b.last).Seconds(); dt > 0 {
-		tokens += dt * q.rate
-		if tokens > q.burst {
-			tokens = q.burst
-		}
-	}
+	tokens := q.refilled(b, now)
 	if tokens >= 1 {
 		return 0
 	}
 	return time.Duration((1 - tokens) / q.rate * float64(time.Second))
+}
+
+// Prune drops every bucket that has refilled to burst: a fresh bucket
+// starts full, so later answers are unchanged. Tenant names are client
+// input, so without this every tenant ever seen keeps a bucket.
+func (q *Quotas) Prune() {
+	now := q.now()
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for tenant, b := range q.buckets {
+		if q.refilled(b, now) >= q.burst {
+			delete(q.buckets, tenant)
+		}
+	}
+}
+
+// refilled returns b's token count at now: its stored tokens plus the
+// refill since b.last, capped at burst. Callers hold q.mu.
+func (q *Quotas) refilled(b *bucket, now time.Time) float64 {
+	if dt := now.Sub(b.last).Seconds(); dt > 0 {
+		return min(b.tokens+dt*q.rate, q.burst)
+	}
+	return b.tokens
 }
 
 // waiter is one queued Acquire, tagged with its virtual finish time.
@@ -118,32 +131,28 @@ func (h *waiterHeap) Pop() any {
 }
 
 // FairQueue bounds the coordinator's concurrent forwards at slots and,
-// when oversubscribed, dequeues waiting tenants in weighted-fair order
-// (virtual-time WFQ: each grant advances a tenant's virtual time by
-// 1/weight, and the globally smallest finish tag runs next). A tenant
-// hammering the coordinator therefore queues behind itself, not behind
-// everyone else.
+// when oversubscribed, dequeues waiting tenants in fair order
+// (equal-share virtual-time WFQ: each queued request advances its
+// tenant's virtual time by 1, and the globally smallest finish tag runs
+// next). A tenant hammering the coordinator therefore queues behind
+// itself, not behind everyone else.
 type FairQueue struct {
-	slots  int
-	weight func(tenant string) float64
+	slots int
 
 	mu       sync.Mutex
 	inflight int
 	vtime    float64
-	finishes map[string]float64 // per-tenant last finish tag
+	finishes map[string]float64 // per-tenant last finish tag, until Prune
 	waiting  waiterHeap
 }
 
 // NewFairQueue builds a queue admitting slots concurrent holders.
-// weight maps a tenant to its share (nil or non-positive values mean
-// weight 1).
-func NewFairQueue(slots int, weight func(tenant string) float64) *FairQueue {
+func NewFairQueue(slots int) *FairQueue {
 	if slots <= 0 {
 		slots = 64
 	}
 	return &FairQueue{
 		slots:    slots,
-		weight:   weight,
 		finishes: make(map[string]float64),
 	}
 }
@@ -182,17 +191,11 @@ func (f *FairQueue) Acquire(ctx context.Context, tenant string) error {
 // finishTag computes the waiter's virtual finish time. Callers hold
 // f.mu.
 func (f *FairQueue) finishTag(tenant string) float64 {
-	wt := 1.0
-	if f.weight != nil {
-		if v := f.weight(tenant); v > 0 {
-			wt = v
-		}
-	}
 	start := f.vtime
 	if last := f.finishes[tenant]; last > start {
 		start = last
 	}
-	finish := start + 1/wt
+	finish := start + 1
 	f.finishes[tenant] = finish
 	return finish
 }
@@ -214,6 +217,19 @@ func (f *FairQueue) Release() {
 		close(w.grant)
 	}
 	f.mu.Unlock()
+}
+
+// Prune drops the finish tags vtime has reached. For such a tenant
+// max(vtime, tag) is vtime, exactly what a missing entry yields, so
+// every later Acquire is tagged as it would have been.
+func (f *FairQueue) Prune() {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for tenant, tag := range f.finishes {
+		if tag <= f.vtime {
+			delete(f.finishes, tenant)
+		}
+	}
 }
 
 // Depth returns the number of queued (not yet granted) acquires.

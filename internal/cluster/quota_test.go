@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"context"
+	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -144,7 +146,7 @@ func queueAcquire(t *testing.T, f *FairQueue, tenant string, order *[]string, mu
 }
 
 func TestFairQueueInterleavesTenants(t *testing.T) {
-	f := NewFairQueue(1, nil)
+	f := NewFairQueue(1)
 	release := grabSlot(t, f, "holder")
 
 	var (
@@ -174,41 +176,8 @@ func TestFairQueueInterleavesTenants(t *testing.T) {
 	}
 }
 
-func TestFairQueueWeights(t *testing.T) {
-	f := NewFairQueue(1, func(tenant string) float64 {
-		if tenant == "heavy" {
-			return 2
-		}
-		return 1
-	})
-	release := grabSlot(t, f, "holder")
-	var (
-		order []string
-		mu    sync.Mutex
-		wg    sync.WaitGroup
-	)
-	// heavy finishes: .5, 1, 1.5, 2 — light: 1, 2. In the first four
-	// grants heavy must get three (ties at 1 and 2 are unordered).
-	for i := 0; i < 4; i++ {
-		queueAcquire(t, f, "heavy", &order, &mu, &wg)
-	}
-	queueAcquire(t, f, "light", &order, &mu, &wg)
-	queueAcquire(t, f, "light", &order, &mu, &wg)
-	release()
-	wg.Wait()
-	heavyInFirstFour := 0
-	for _, tn := range order[:4] {
-		if tn == "heavy" {
-			heavyInFirstFour++
-		}
-	}
-	if heavyInFirstFour < 3 {
-		t.Fatalf("heavy (weight 2) got %d of the first 4 grants: %v", heavyInFirstFour, order)
-	}
-}
-
 func TestFairQueueCancelledWaiterSkipped(t *testing.T) {
-	f := NewFairQueue(1, nil)
+	f := NewFairQueue(1)
 	release := grabSlot(t, f, "holder")
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -244,6 +213,204 @@ func TestFairQueueCancelledWaiterSkipped(t *testing.T) {
 	defer mu.Unlock()
 	if !got {
 		t.Fatal("live waiter never granted")
+	}
+}
+
+// TestQuotasPruneRotatingTenants: tenant names are client input, so a
+// stream of distinct tenants must not leave a bucket each behind once
+// their buckets have refilled.
+func TestQuotasPruneRotatingTenants(t *testing.T) {
+	q := NewQuotas(10, 2)
+	now := time.Unix(1000, 0)
+	q.now = func() time.Time { return now }
+	for i := 0; i < 10_000; i++ {
+		if !q.Allow(fmt.Sprintf("tenant-%d", i)) {
+			t.Fatalf("fresh tenant %d rejected", i)
+		}
+	}
+	// 50ms refills half a token: every bucket is still short of burst.
+	now = now.Add(50 * time.Millisecond)
+	q.Prune()
+	if n := len(q.buckets); n != 10_000 {
+		t.Fatalf("pruned buckets still short of burst: %d left, want 10000", n)
+	}
+	now = now.Add(50 * time.Millisecond)
+	q.Prune()
+	if n := len(q.buckets); n != 0 {
+		t.Fatalf("%d refilled buckets left after Prune", n)
+	}
+}
+
+// TestQuotasPruneIsInvisible: a random Allow/RetryAfter sequence gets
+// identical answers from a limiter pruned at random points and one that
+// is never pruned.
+func TestQuotasPruneIsInvisible(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	now := time.Unix(1000, 0)
+	clock := func() time.Time { return now }
+	pruned, kept := NewQuotas(4, 3), NewQuotas(4, 3)
+	pruned.now, kept.now = clock, clock
+	dropped := false
+	for i := 0; i < 20_000; i++ {
+		tenant := fmt.Sprintf("t%d", rng.Intn(6))
+		switch op := rng.Intn(10); {
+		case op < 5:
+			if a, b := pruned.Allow(tenant), kept.Allow(tenant); a != b {
+				t.Fatalf("op %d: Allow(%s) = %v pruned, %v kept", i, tenant, a, b)
+			}
+		case op < 7:
+			if a, b := pruned.RetryAfter(tenant), kept.RetryAfter(tenant); a != b {
+				t.Fatalf("op %d: RetryAfter(%s) = %v pruned, %v kept", i, tenant, a, b)
+			}
+		case op < 9:
+			now = now.Add(time.Duration(rng.Intn(400)) * time.Millisecond)
+		default:
+			pruned.Prune()
+			dropped = dropped || len(pruned.buckets) < len(kept.buckets)
+		}
+	}
+	if !dropped {
+		t.Fatal("Prune never dropped a bucket")
+	}
+}
+
+// TestFairQueuePruneRotatingTenants: 10k distinct tenants queue through
+// a contended FairQueue in rounds; once each round drains, Prune leaves
+// no finish tags behind.
+func TestFairQueuePruneRotatingTenants(t *testing.T) {
+	f := NewFairQueue(1)
+	for round := 0; round < 100; round++ {
+		release := grabSlot(t, f, "holder")
+		var wg sync.WaitGroup
+		for i := 0; i < 100; i++ {
+			tenant := fmt.Sprintf("tenant-%d-%d", round, i)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if err := f.Acquire(context.Background(), tenant); err != nil {
+					t.Error(err)
+					return
+				}
+				f.Release()
+			}()
+		}
+		waitFor(t, "100 queued acquires", func() bool { return f.Depth() == 100 })
+		release()
+		wg.Wait()
+		f.Prune()
+		f.mu.Lock()
+		n := len(f.finishes)
+		f.mu.Unlock()
+		if n != 0 {
+			t.Fatalf("round %d: %d finish tags left after the queue drained", round, n)
+		}
+	}
+}
+
+// fairStepper drives a FairQueue one operation at a time from the test
+// goroutine. The slot stays held throughout, so every acquire queues
+// and every release hands the slot to exactly one live waiter.
+type fairStepper struct {
+	f       *FairQueue
+	granted chan int
+	live    []int // ids of queued, uncancelled waiters, oldest first
+	cancel  map[int]context.CancelFunc
+	done    map[int]chan struct{}
+}
+
+func newFairStepper(t *testing.T) *fairStepper {
+	s := &fairStepper{f: NewFairQueue(1), granted: make(chan int, 1), cancel: map[int]context.CancelFunc{}, done: map[int]chan struct{}{}}
+	grabSlot(t, s.f, "holder")
+	return s
+}
+
+// acquire queues waiter id for tenant and returns its finish tag.
+func (s *fairStepper) acquire(t *testing.T, id int, tenant string) float64 {
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	s.cancel[id], s.done[id] = cancel, done
+	depth := s.f.Depth()
+	go func() {
+		defer close(done)
+		if s.f.Acquire(ctx, tenant) == nil {
+			s.granted <- id
+		}
+	}()
+	for deadline := time.Now().Add(10 * time.Second); s.f.Depth() == depth; time.Sleep(20 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("acquire %d never queued", id)
+		}
+	}
+	s.live = append(s.live, id)
+	s.f.mu.Lock()
+	defer s.f.mu.Unlock()
+	return s.f.finishes[tenant]
+}
+
+// drop cancels the i-th live waiter and waits for its Acquire to return.
+func (s *fairStepper) drop(i int) {
+	id := s.live[i]
+	s.live = append(s.live[:i], s.live[i+1:]...)
+	s.cancel[id]()
+	<-s.done[id]
+}
+
+// release passes the slot on and returns the id of the waiter granted.
+func (s *fairStepper) release() int {
+	s.f.Release()
+	id := <-s.granted
+	<-s.done[id]
+	for i, l := range s.live {
+		if l == id {
+			s.live = append(s.live[:i], s.live[i+1:]...)
+			break
+		}
+	}
+	return id
+}
+
+func (s *fairStepper) close() {
+	for len(s.live) > 0 {
+		s.drop(0)
+	}
+	s.f.Release()
+}
+
+// TestFairQueuePruneIsInvisible: a random acquire/cancel/release
+// sequence gets identical finish tags and grant order from a queue
+// pruned at random points and one that is never pruned.
+func TestFairQueuePruneIsInvisible(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	pruned, kept := newFairStepper(t), newFairStepper(t)
+	defer pruned.close()
+	defer kept.close()
+	dropped := false
+	for id := 0; id < 400; id++ {
+		switch op := rng.Intn(10); {
+		case op < 5:
+			tenant := fmt.Sprintf("t%d", rng.Intn(5))
+			if a, b := pruned.acquire(t, id, tenant), kept.acquire(t, id, tenant); a != b {
+				t.Fatalf("op %d: %s tagged %v pruned, %v kept", id, tenant, a, b)
+			}
+		case op < 6 && len(kept.live) > 0:
+			i := rng.Intn(len(kept.live))
+			pruned.drop(i)
+			kept.drop(i)
+		case op < 9 && len(kept.live) > 0:
+			if a, b := pruned.release(), kept.release(); a != b {
+				t.Fatalf("op %d: granted waiter %d pruned, %d kept", id, a, b)
+			}
+		default:
+			pruned.f.Prune()
+			pruned.f.mu.Lock()
+			kept.f.mu.Lock()
+			dropped = dropped || len(pruned.f.finishes) < len(kept.f.finishes)
+			kept.f.mu.Unlock()
+			pruned.f.mu.Unlock()
+		}
+	}
+	if !dropped {
+		t.Fatal("Prune never dropped a finish tag")
 	}
 }
 

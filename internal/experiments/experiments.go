@@ -34,13 +34,6 @@ type Params struct {
 	Telemetry bool
 }
 
-// DefaultParams returns a laptop-scale sweep (the paper used 100M
-// SimPoints; 200k per thread preserves the steady-state shapes on the
-// synthetic workloads — see DESIGN.md).
-func DefaultParams() Params {
-	return Params{Budget: 200_000, Seed: 1}
-}
-
 func (p Params) workers() int {
 	if p.Workers > 0 {
 		return p.Workers

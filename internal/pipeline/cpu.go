@@ -176,11 +176,8 @@ type CPU struct {
 
 	// skipAhead enables the event-driven engine: advance consults
 	// nextInterestingCycle after each simulated cycle and fast-forwards
-	// across provably idle spans. Cleared by Config.NaiveTicker or when
-	// the policy cannot be skipped (no CycleSkipper implementation).
+	// across provably idle spans. Cleared by Config.NaiveTicker.
 	skipAhead bool
-	// polSkip is the policy's skip-ahead hook (nil when absent).
-	polSkip policy.CycleSkipper
 	// stepped counts the cycles stepCycle simulated one at a time (the
 	// rest were skipped). Tests read it; it stays out of Result so the
 	// two engines' Results still compare equal.
@@ -281,8 +278,7 @@ func New(cfg Config, sources []TraceSource) (*CPU, error) {
 		c.rob.OnGrantPiggyback = c.tel.GrantPiggyback
 		c.rob.OnGrantReleased = c.tel.GrantReleased
 	}
-	c.polSkip, _ = c.pol.(policy.CycleSkipper)
-	c.skipAhead = !cfg.NaiveTicker && c.polSkip != nil
+	c.skipAhead = !cfg.NaiveTicker
 	return c, nil
 }
 
@@ -351,9 +347,6 @@ func (c *CPU) stepCycle(budget uint64) bool {
 	c.fetch()
 	return false
 }
-
-// Cycle returns the current cycle (for tests driving stages manually).
-func (c *CPU) Cycle() int64 { return c.now }
 
 func (c *CPU) result() Result {
 	res := Result{

@@ -13,7 +13,7 @@ import (
 // intervening cycles as exact no-ops — nothing dispatches, issues,
 // commits, fetches or fires — so their only effects are the per-cycle
 // bookkeeping each substrate exposes in closed form (rob.FastForward,
-// iq.FastForward, policy.CycleSkipper, telemetry.RecordIdleSpan) plus
+// iq.FastForward, Policy.SkipCycles, telemetry.RecordIdleSpan) plus
 // the pipeline's own round-robin offsets. The slowcheck differential
 // harness and TestSkipAheadMatchesNaive hold the two engines to
 // bit-identical results.
@@ -174,9 +174,7 @@ func (c *CPU) skipTo(from, to int64) {
 	n := int64(c.cfg.Threads)
 	c.rob.FastForward(to-1, k)
 	c.iq.FastForward(k)
-	if c.polSkip != nil {
-		c.polSkip.SkipCycles(k, c.cfg.Threads)
-	}
+	c.pol.SkipCycles(k, c.cfg.Threads)
 	c.dispatchRR = int((int64(c.dispatchRR) + k) % n)
 	c.commitRR = int((int64(c.commitRR) + k) % n)
 	if c.tel == nil {

@@ -123,6 +123,12 @@ type Policy interface {
 	// instructions younger than a load that misses in the L2 and gate the
 	// thread's fetch until the miss returns (the FLUSH policy [12]).
 	FlushOnL2Miss() bool
+	// SkipCycles stands in for the k FetchOrder calls a span of provably
+	// idle cycles on a threads-thread machine would have made: the
+	// pipeline's skip-ahead engine calls it instead, and afterwards the
+	// policy must be in exactly the state those calls would have left it
+	// in, or fetch fairness diverges from the naive ticker.
+	SkipCycles(k int64, threads int)
 }
 
 // New constructs a policy. alpha is DCRA's slow-thread share multiplier
@@ -159,18 +165,6 @@ func MustNew(kind Kind, alpha float64, lim Limits) Policy {
 	return p
 }
 
-// CycleSkipper is implemented by policies whose only cycle-to-cycle
-// state is the rotating tie-break offset. The pipeline's skip-ahead
-// engine calls SkipCycles(k, threads) in place of the k FetchOrder
-// calls a span of provably idle cycles would have made; afterwards the
-// policy must be in exactly the state those calls would have left it
-// in, or fetch fairness diverges from the naive ticker. A policy that
-// carries other per-cycle state must not implement this interface —
-// the pipeline then falls back to ticking every cycle.
-type CycleSkipper interface {
-	SkipCycles(k int64, threads int)
-}
-
 // rotor supplies a rotating tie-break offset so that equal-count threads
 // share fetch slots fairly instead of always yielding to the lowest id.
 type rotor struct{ rr int }
@@ -189,7 +183,7 @@ func (r *rotor) next(n int) int {
 // SkipCycles advances the rotor as k FetchOrder calls on a
 // threads-thread machine would (one next() per call). Every built-in
 // policy embeds the rotor and carries no other per-cycle state, so this
-// single method makes them all CycleSkippers.
+// single method is every policy's SkipCycles.
 //
 //tlrob:allocfree
 func (r *rotor) SkipCycles(k int64, threads int) {

@@ -112,10 +112,6 @@ func (f *File) Ready(p int32) bool { return f.ready[p] }
 // SetReady marks a physical register as produced (writeback).
 func (f *File) SetReady(p int32) { f.ready[p] = true }
 
-// ClearReady marks a register not-yet-produced; used by tests and by
-// speculative-wakeup replay bookkeeping.
-func (f *File) ClearReady(p int32) { f.ready[p] = false }
-
 // Release returns a physical register to its free pool: at commit the
 // *previous* mapping of the destination is released.
 func (f *File) Release(p int32) {

@@ -232,7 +232,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		{"simd_jobs_completed_total", "counter", st.Completed},
 		{"simd_jobs_failed_total", "counter", st.Failed},
 		{"simd_jobs_canceled_total", "counter", st.Canceled},
-		{"simd_retries_total", "counter", st.Retries},
 		{"simd_simulations_total", "counter", st.Simulations},
 		{"simd_cycles_simulated_total", "counter", st.Cycles},
 		{"simd_sim_seconds_total", "counter", st.SimSeconds},

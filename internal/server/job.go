@@ -32,7 +32,7 @@ var errClientGone = errors.New("all waiting clients disconnected")
 
 // Event is one line of a job's NDJSON progress stream.
 type Event struct {
-	Type           string  `json:"type"` // queued running single mix retry done failed canceled
+	Type           string  `json:"type"` // queued running single mix done failed canceled
 	JobID          string  `json:"job_id"`
 	Mix            string  `json:"mix,omitempty"` // benchmark name for "single" events
 	Completed      int     `json:"completed,omitempty"`

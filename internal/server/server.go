@@ -2,9 +2,9 @@
 // cmd/simd. It wraps experiments.Runner with a bounded job queue
 // (backpressure when full), a worker pool, request coalescing
 // (concurrent identical submissions share one run), a content-addressed
-// result cache (internal/store), retry with exponential backoff for
-// transient failures, per-job deadlines with cancellation, and a
-// graceful drain for shutdown.
+// result cache (internal/store), per-job deadlines with cancellation,
+// and a graceful drain for shutdown. Sweeps are seed-deterministic, so a
+// failed run is not retried: it would fail the same way again.
 package server
 
 import (
@@ -32,18 +32,6 @@ var (
 	ErrQueueFull = errors.New("queue full")
 	ErrDraining  = errors.New("server draining")
 )
-
-// TransientError marks an error as retryable by the worker loop.
-type TransientError struct{ Err error }
-
-func (e *TransientError) Error() string { return "transient: " + e.Err.Error() }
-func (e *TransientError) Unwrap() error { return e.Err }
-
-// IsTransient reports whether err should be retried.
-func IsTransient(err error) bool {
-	var t *TransientError
-	return errors.As(err, &t)
-}
 
 // RunSpec is the wire form of a simulation request.
 type RunSpec struct {
@@ -118,15 +106,13 @@ func (sp RunSpec) normalize(cfg Config) (RunSpec, experiments.SchemeSpec, []work
 
 // Config sizes the server.
 type Config struct {
-	Store        *store.Store
-	QueueSize    int           // bounded queue; full submissions get ErrQueueFull (default 64)
-	Workers      int           // concurrent jobs (default 2)
-	SimWorkers   int           // goroutines per job's sweep (0 = all cores)
-	JobTimeout   time.Duration // per-job deadline (default 10m)
-	Retries      int           // retry budget for transient failures (default 2)
-	RetryBackoff time.Duration // initial backoff, doubled per retry (default 250ms)
-	MaxBudget    uint64        // largest accepted per-thread budget (default 5M)
-	Logf         func(format string, args ...any)
+	Store      *store.Store
+	QueueSize  int           // bounded queue; full submissions get ErrQueueFull (default 64)
+	Workers    int           // concurrent jobs (default 2)
+	SimWorkers int           // goroutines per job's sweep (0 = all cores)
+	JobTimeout time.Duration // per-job deadline (default 10m)
+	MaxBudget  uint64        // largest accepted per-thread budget (default 5M)
+	Logf       func(format string, args ...any)
 
 	// SelfURL is this worker's advertised base URL, spelled exactly as
 	// the coordinator's member list spells it. When set, job IDs start
@@ -157,14 +143,6 @@ func (c Config) withDefaults() Config {
 	if c.JobTimeout <= 0 {
 		c.JobTimeout = 10 * time.Minute
 	}
-	if c.Retries < 0 {
-		c.Retries = 0
-	} else if c.Retries == 0 {
-		c.Retries = 2
-	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = 250 * time.Millisecond
-	}
 	if c.MaxBudget == 0 {
 		c.MaxBudget = 5_000_000
 	}
@@ -184,7 +162,6 @@ type Stats struct {
 	Completed   uint64
 	Failed      uint64
 	Canceled    uint64
-	Retries     uint64
 	Simulations uint64 // sweeps actually started (singleflight collapses these)
 	Cycles      uint64 // simulated cycles, summed over completed jobs
 	SimSeconds  float64
@@ -229,10 +206,10 @@ type Server struct {
 	baseCancel context.CancelFunc
 	workersWG  sync.WaitGroup
 
-	inflight                                  atomic.Int64
-	submitted, coalesced, rejected            atomic.Uint64
-	completed, failed, canceled               atomic.Uint64
-	retries, simulations, cycles, simNanosSum atomic.Uint64
+	inflight                         atomic.Int64
+	submitted, coalesced, rejected   atomic.Uint64
+	completed, failed, canceled      atomic.Uint64
+	simulations, cycles, simNanosSum atomic.Uint64
 	// simTimedJobs counts the jobs whose wall time entered simNanosSum —
 	// jobs canceled while still queued never run and must not dilute the
 	// mean service time that RetryAfterSeconds reports.
@@ -247,7 +224,7 @@ type Server struct {
 	stallCycles  [telemetry.NumCauses]atomic.Uint64
 	activeCycles atomic.Uint64
 
-	// simulate is swapped by tests to fault-inject transient errors.
+	// simulate is swapped by tests to fault-inject failures.
 	simulate func(ctx context.Context, j *Job) (report.Series, int64, error)
 	// beforeRun, if set (tests), blocks a worker at job start.
 	beforeRun func(j *Job)
@@ -447,26 +424,8 @@ func (s *Server) runJob(j *Job) {
 		s.beforeRun(j)
 	}
 
-	var (
-		series  report.Series
-		cycles  int64
-		runErr  error
-		backoff = s.cfg.RetryBackoff
-	)
 	start := time.Now()
-	for attempt := 0; ; attempt++ {
-		series, cycles, runErr = s.simulate(ctx, j)
-		if runErr == nil || ctx.Err() != nil || attempt >= s.cfg.Retries || !IsTransient(runErr) {
-			break
-		}
-		s.retries.Add(1)
-		j.emit(Event{Type: "retry", Error: runErr.Error()})
-		select {
-		case <-time.After(backoff):
-		case <-ctx.Done():
-		}
-		backoff *= 2
-	}
+	series, cycles, runErr := s.simulate(ctx, j)
 	s.simNanosSum.Add(uint64(time.Since(start).Nanoseconds()))
 	s.simTimedJobs.Add(1)
 
@@ -627,7 +586,6 @@ func (s *Server) Stats() Stats {
 		Completed:      s.completed.Load(),
 		Failed:         s.failed.Load(),
 		Canceled:       s.canceled.Load(),
-		Retries:        s.retries.Load(),
 		Simulations:    s.simulations.Load(),
 		Cycles:         s.cycles.Load(),
 		SimSeconds:     float64(s.simNanosSum.Load()) / 1e9,

@@ -19,8 +19,7 @@ type Generator struct {
 	codeBase uint64
 	dataBase uint64
 
-	cur        int32 // current static instruction index
-	generated  uint64
+	cur        int32    // current static instruction index
 	streamPos  []uint64 // per-stream cursor offsets
 	streamSpan uint64   // bytes per stream region
 }
@@ -93,9 +92,6 @@ func (g *Generator) Regions() []isa.Region {
 	}
 }
 
-// Generated returns how many instructions have been produced so far.
-func (g *Generator) Generated() uint64 { return g.generated }
-
 // ProgramLen returns the static program length in instructions.
 func (g *Generator) ProgramLen() int { return len(g.prog.insts) }
 
@@ -132,7 +128,6 @@ func (g *Generator) Next(out *isa.TraceInst) {
 	default:
 		g.advance()
 	}
-	g.generated++
 }
 
 // BranchTarget returns the taken-target PC of the branch at pc, as the

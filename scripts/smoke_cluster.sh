@@ -8,7 +8,8 @@
 #   - a worker asked directly for another shard's key answers from peer
 #     cache fill without re-simulating
 #   - a node added via POST /v1/members mid-sweep joins the ring and
-#     triggers a key-handoff pass that runs to completion
+#     triggers a key-handoff pass that runs to completion, after which
+#     every cached key is held by at least R=2 live workers
 #   - a worker killed with SIGKILL is routed around: the fleet keeps
 #     answering and the coordinator marks the node dead
 #   - after the membership change and the primary's death, a repeat
@@ -53,7 +54,7 @@ echo "==> boot coordinator (:0, scraped from stdout)"
 COUT="$BINDIR/coord.out"
 # -hedge-min is cranked up so slow-CI latency can't fire hedges and
 # double-simulate specs: this smoke asserts exact simulation counts.
-"$BINDIR/simd" -coordinator -peers "$PEERS" -addr 127.0.0.1:0 -replicas 3 \
+"$BINDIR/simd" -coordinator -peers "$PEERS" -addr 127.0.0.1:0 \
   -hedge-min 30s -hedge-max 30s >"$COUT" 2>"$BINDIR/coord.log" &
 COORD_PID=$!
 PIDS+=($COORD_PID)
@@ -136,6 +137,16 @@ done
 N_MEMBERS=$(curl -fsS "$COORD/v1/members" | jq '.members | length')
 [ "$N_MEMBERS" -eq 4 ] || { echo "coordinator reports $N_MEMBERS members, want 4"; exit 1; }
 
+echo "==> placement: every cached key is held by at least R=2 live workers"
+# Replica pushes run off the request path, so allow them a moment to land.
+for _ in $(seq 1 50); do
+  UNDER=$(for url in "$W0" "$W1" "$W2" "$W3"; do curl -fsS "$url/v1/cache" | jq -r '(.keys // [])[]'; done \
+    | sort | uniq -c | awk '$1 < 2' | wc -l)
+  [ "$UNDER" -eq 0 ] && break
+  sleep 0.2
+done
+[ "$UNDER" -eq 0 ] || { echo "$UNDER cached keys are held by fewer than 2 workers"; exit 1; }
+
 echo "==> chaos: SIGKILL an old primary, fleet keeps answering"
 kill -9 "$WPID0"
 for seed in 99 101 102 103; do
@@ -164,7 +175,7 @@ LOAD3_JSON="$BINDIR/load3.json"
 echo "==> a second coordinator serves jobs submitted through the first"
 MEMBERS=$(curl -fsS "$COORD/v1/members" | jq -r '.members | join(",")')
 COUT2="$BINDIR/coord2.out"
-"$BINDIR/simd" -coordinator -peers "$MEMBERS" -addr 127.0.0.1:0 -replicas 3 \
+"$BINDIR/simd" -coordinator -peers "$MEMBERS" -addr 127.0.0.1:0 \
   -hedge-min 30s -hedge-max 30s >"$COUT2" 2>"$BINDIR/coord2.log" &
 PIDS+=($!)
 for _ in $(seq 1 100); do
