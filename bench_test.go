@@ -220,70 +220,6 @@ func BenchmarkAblationFetchPolicy(b *testing.B) {
 	})
 }
 
-// BenchmarkSimulatorSpeed measures raw simulation throughput (simulated
-// instructions per wall second) on one memory-bound mix.
-// BenchmarkMixSweep measures raw simulator performance per scheme over
-// the memory-bound mixes (Mixes 1-4, the paper's target workloads): wall
-// time, simulated cycles per second, nanoseconds per committed
-// instruction and steady-state allocations. This is the benchmark behind
-// BENCH_results.json (cmd/bench emits the same sweep as JSON):
-//
-//	go test -bench MixSweep -benchmem
-func BenchmarkMixSweep(b *testing.B) {
-	singles := benchSingles(b)
-	schemes := map[string]Options{
-		"Baseline32": {Scheme: Baseline, L1ROB: 32},
-		"RROB16":     {Scheme: Reactive, DoDThreshold: 16},
-		"CDRROB15":   {Scheme: CountDelayed, DoDThreshold: 15, CountDelay: 32},
-		"PROB5":      {Scheme: Predictive, DoDThreshold: 5},
-	}
-	for name, opt := range schemes {
-		opt.Budget = benchBudget
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			var cycles int64
-			var committed uint64
-			for i := 0; i < b.N; i++ {
-				cycles, committed = 0, 0
-				for _, mix := range workload.Mixes[:4] {
-					res, err := RunMix(mix, opt, singles)
-					if err != nil {
-						b.Fatal(err)
-					}
-					cycles += res.Cycles
-					for _, th := range res.Threads {
-						committed += th.Committed
-					}
-				}
-			}
-			wallPerOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-			if wallPerOp > 0 {
-				b.ReportMetric(float64(cycles)*1e9/wallPerOp, "cycles/sec")
-				b.ReportMetric(wallPerOp/float64(committed), "ns/instr")
-			}
-		})
-	}
-}
-
-func BenchmarkSimulatorSpeed(b *testing.B) {
-	mix, _ := MixByName("Mix 1")
-	singles := benchSingles(b)
-	opt := Options{Budget: benchBudget}
-	b.ResetTimer()
-	var committed uint64
-	for i := 0; i < b.N; i++ {
-		res, err := RunMix(mix, opt, singles)
-		if err != nil {
-			b.Fatal(err)
-		}
-		committed = 0
-		for _, th := range res.Threads {
-			committed += th.Committed
-		}
-	}
-	b.ReportMetric(float64(committed), "instructions")
-}
-
 // BenchmarkAblationSharedVsPrivate reproduces the related-work comparison
 // of Raasch & Reinhardt [9]: a fully shared single-level ROB against the
 // statically partitioned private baseline at equal total entries. Sharing

@@ -8,8 +8,8 @@
 //	simdload -url http://localhost:8080 -n 2000 -c 64 -tenants 8
 //
 // It reports p50/p95/p99 latency, throughput, and the cache-hit ratio,
-// and with -json writes a report.LoadSummary that cmd/checkbench
-// -load can gate in CI.
+// and with -json writes a report.LoadSummary that cmd/checkbench can
+// gate in CI.
 package main
 
 import (

@@ -103,21 +103,3 @@ func Speedup(baseline, improved float64) float64 {
 	}
 	return (improved - baseline) / baseline
 }
-
-// PerSecond converts a count observed over a nanosecond interval into a
-// per-second rate (simulator-performance reporting).
-func PerSecond(count float64, nanos int64) float64 {
-	if nanos <= 0 {
-		return 0
-	}
-	return count * 1e9 / float64(nanos)
-}
-
-// NanosPer divides a nanosecond interval by an event count (e.g. wall
-// nanoseconds per simulated instruction).
-func NanosPer(nanos int64, count float64) float64 {
-	if count <= 0 {
-		return 0
-	}
-	return float64(nanos) / count
-}

@@ -1,8 +1,8 @@
 // Package report defines the machine-readable result schema shared by
-// every consumer of the experiment harness: cmd/experiments -json,
-// cmd/bench's BENCH_results.json rows, and the simd service's run
-// results all encode scheme series with the same field names, so a
-// client can parse a CLI dump and a service response with one decoder.
+// every consumer of the experiment harness: cmd/experiments -json and
+// the simd service's run results encode scheme series with the same
+// field names, so a client can parse a CLI dump and a service response
+// with one decoder.
 package report
 
 import (

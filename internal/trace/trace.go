@@ -7,7 +7,9 @@
 // Format (little endian):
 //
 //	magic   [8]byte  "TLROBTR1"
-//	count   uint64   number of records (0 = unknown/streamed)
+//	count   uint64   number of records (0 = unknown/streamed); a
+//	                 reader rejects a nonzero count that disagrees
+//	                 with the records that follow
 //	records:
 //	  pc     uint64
 //	  addr   uint64
@@ -44,7 +46,7 @@ type Writer struct {
 }
 
 // NewWriter writes the header and returns a Writer. The count field is
-// written as 0 (streamed); use WriteFileHeaderCount for seekable outputs.
+// written as 0 (streamed), so the writer never needs to seek back.
 func NewWriter(w io.Writer) (*Writer, error) {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.Write(magic[:]); err != nil {
@@ -107,11 +109,10 @@ func NewReader(r io.Reader) (*Reader, error) {
 	if [8]byte(hdr[:8]) != magic {
 		return nil, fmt.Errorf("trace: bad magic %q", hdr[:8])
 	}
+	// The header count is untrusted: it is checked against the records
+	// actually read, never used to size an allocation.
 	count := binary.LittleEndian.Uint64(hdr[8:])
 	rd := &Reader{targets: make(map[uint64]uint64)}
-	if count > 0 {
-		rd.insts = make([]isa.TraceInst, 0, count)
-	}
 	var rec [recordSize]byte
 	for {
 		if _, err := io.ReadFull(br, rec[:]); err != nil {
@@ -136,6 +137,9 @@ func NewReader(r io.Reader) (*Reader, error) {
 	}
 	if len(rd.insts) == 0 {
 		return nil, fmt.Errorf("trace: empty trace")
+	}
+	if count != 0 && count != uint64(len(rd.insts)) {
+		return nil, fmt.Errorf("trace: header says %d records, read %d", count, len(rd.insts))
 	}
 	// Reconstruct taken-branch targets from successor PCs.
 	for i, ti := range rd.insts {

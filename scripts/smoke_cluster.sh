@@ -19,7 +19,7 @@
 #     submitted through the first (status poll to done, /events), since
 #     job IDs name their worker; after the first coordinator is
 #     SIGKILLed, a sweep through the second passes the load gate
-#   - the load summaries pass the checkbench -load gate
+#   - the load summaries pass the checkbench load gate
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -76,7 +76,7 @@ echo "==> zipf load through the coordinator"
 "$BINDIR/simdload" -url "$COORD" -n 120 -c 16 -tenants 4 -specs 8 -budget 3000 -json "$LOAD_JSON"
 
 echo "==> load summary passes the checkbench gate"
-"$BINDIR/checkbench" -load -min-rps 1 "$LOAD_JSON"
+"$BINDIR/checkbench" -min-rps 1 "$LOAD_JSON"
 
 echo "==> cache hits dominate (8 distinct specs, 120 requests)"
 # Concurrent duplicates that coalesce onto an in-flight job report
@@ -123,7 +123,7 @@ R=$(curl -fsS -X POST "$COORD/v1/members" -d "{\"action\":\"add\",\"node\":\"$W3
 echo "$R" | jq -e '.changed == true and .handoff == true' >/dev/null \
   || { echo "member add did not change the ring: $R"; exit 1; }
 wait "$SWEEP2"
-"$BINDIR/checkbench" -load -min-rps 1 "$LOAD2_JSON"
+"$BINDIR/checkbench" -min-rps 1 "$LOAD2_JSON"
 echo "==> handoff pass runs to completion"
 for _ in $(seq 1 100); do
   METRICS=$(curl -fsS "$COORD/metrics")
@@ -170,7 +170,7 @@ echo "==> hit ratio survives the membership change + primary death"
 RATE1=$(jq .cache_hit_rate "$LOAD_JSON")
 LOAD3_JSON="$BINDIR/load3.json"
 "$BINDIR/simdload" -url "$COORD" -n 120 -c 16 -tenants 4 -specs 8 -budget 3000 -json "$LOAD3_JSON"
-"$BINDIR/checkbench" -load -min-rps 1 -min-hit-rate "$RATE1" "$LOAD3_JSON"
+"$BINDIR/checkbench" -min-rps 1 -min-hit-rate "$RATE1" "$LOAD3_JSON"
 
 echo "==> a second coordinator serves jobs submitted through the first"
 MEMBERS=$(curl -fsS "$COORD/v1/members" | jq -r '.members | join(",")')
@@ -204,6 +204,6 @@ echo "==> SIGKILL the first coordinator, the second keeps serving"
 kill -9 "$COORD_PID"
 LOAD4_JSON="$BINDIR/load4.json"
 "$BINDIR/simdload" -url "$COORD2" -n 60 -c 8 -tenants 4 -specs 8 -budget 3000 -json "$LOAD4_JSON"
-"$BINDIR/checkbench" -load -min-rps 1 "$LOAD4_JSON"
+"$BINDIR/checkbench" -min-rps 1 "$LOAD4_JSON"
 
 echo "OK"
