@@ -22,7 +22,9 @@
 // completed simulation is replicated to the key's other ring owners
 // (R copies in all) so one node death loses no result. The
 // coordinator pushes membership updates to POST /v1/members, so the
-// worker's ring follows the fleet as it grows and shrinks.
+// worker's ring follows the fleet as it grows and shrinks. After each
+// update the worker repairs placement: every key it holds whose first R
+// owners changed is pushed to the owners it gained.
 //
 // Every worker names its job IDs after its -self-url (default
 // http://<bound addr>), so any coordinator over the fleet can route
@@ -35,8 +37,10 @@
 // result plus one that can simulate it), enforces per-tenant quotas,
 // and aggregates fleet state at /v1/fleet. Membership is dynamic:
 // POST /v1/members adds or removes workers at runtime, and SIGHUP
-// re-reads -peer-file; either path rebalances cached results onto the
-// first R owners of the new ring in the background.
+// re-reads -peer-file; either path pushes the new member list to every
+// worker that was or is a member, and the workers move cached results
+// onto the first R owners of the new ring. A worker the prober sees
+// come back is sent the current list too.
 //
 // SIGINT/SIGTERM drains gracefully: submissions get 503, queued and
 // running jobs finish (up to -drain-timeout), then the process exits.
@@ -146,17 +150,26 @@ func main() {
 		Logf:       log.Printf,
 		SelfURL:    self,
 	}
-	var ring *cluster.Ring
+	var (
+		ring       *cluster.Ring
+		replicator *cluster.Replicator
+	)
 	if len(peerList) > 0 {
 		if ring, err = cluster.NewRing(peerList, *vnodes); err != nil {
 			fatal(err)
 		}
+		replicator = cluster.NewReplicator(self, ring, *replicas, 0, nil)
 		cfg.PeerFill = cluster.NewPeerFiller(self, ring, 0, 0, nil).Fill
-		cfg.Replicate = cluster.NewReplicator(self, ring, *replicas, 0, nil).Replicate
+		cfg.Replicate = replicator.Replicate
 	}
 	srv, err := server.New(cfg)
 	if err != nil {
 		fatal(err)
+	}
+	if ring != nil {
+		ring.OnChange(func(before []string) {
+			srv.Rereplicate(func(ctx context.Context) (int, int) { return replicator.Repair(ctx, before, st) })
+		})
 	}
 
 	handler := srv.Handler()
@@ -214,8 +227,7 @@ func runCoordinator(addr string, peers []string, peerFile string, cfg cluster.Co
 	log.Printf("coordinator listening on %s (%d peers)", bound, len(peers))
 
 	// SIGHUP re-reads -peer-file and applies it as the authoritative
-	// member list: workers are synced, and cached results rebalance onto
-	// the new ring in the background.
+	// member list: workers are synced and repair placement themselves.
 	if peerFile != "" {
 		hup := make(chan os.Signal, 1)
 		signal.Notify(hup, syscall.SIGHUP)
@@ -231,8 +243,8 @@ func runCoordinator(addr string, peers []string, peerFile string, cfg cluster.Co
 					log.Printf("coordinator: SIGHUP reload: %v", err)
 					continue
 				}
-				log.Printf("coordinator: SIGHUP reload: +%v -%v (%d members, handoff=%v)",
-					reply.Added, reply.Removed, len(reply.Members), reply.Handoff)
+				log.Printf("coordinator: SIGHUP reload: +%v -%v (%d members)",
+					reply.Added, reply.Removed, len(reply.Members))
 			}
 		}()
 	}

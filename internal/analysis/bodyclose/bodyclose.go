@@ -3,7 +3,7 @@
 // helpers, Transport.RoundTrip) reaches a Body.Close on every
 // non-error path. An unclosed body pins the underlying connection:
 // the transport cannot return it to the idle pool, so the coordinator,
-// prober, handoff, and replication clients leak a connection (and a
+// prober, member-sync, and replication clients leak a connection (and a
 // reading goroutine) per call until the peer times them out.
 //
 // The analysis is a CFG may-analysis: a response is "open" from the

@@ -87,7 +87,7 @@ func closedWithDefer(req *http.Request) error {
 	return err
 }
 
-// closedExplicitly is the drain-then-close shape the handoff client
+// closedExplicitly is the drain-then-close shape the replication client
 // uses for PUTs.
 func closedExplicitly(req *http.Request) error {
 	resp, err := client.Do(req)

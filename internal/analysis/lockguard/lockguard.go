@@ -56,7 +56,7 @@ func run(pass *analysis.Pass) error {
 
 // Fact-key prefixes: "w " write-held, "r " read-held, "dw "/"dr " a
 // deferred Unlock/RUnlock is registered. The rest of the key is the
-// receiver expression, e.g. "w c.handoffMu".
+// receiver expression, e.g. "w s.mu".
 const (
 	wHeld = "w "
 	rHeld = "r "

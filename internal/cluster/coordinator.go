@@ -25,10 +25,10 @@ type CoordinatorConfig struct {
 	Peers []string
 	// VNodes per ring member (default 64).
 	VNodes int
-	// Replicas is the fleet's replication factor R (default 2): the
-	// handoff pass places each result on its key's first R ring owners.
-	// A submission may try the first R+1 across reroutes and hedges: the
-	// R that can hold the result plus one that can simulate it.
+	// Replicas is the fleet's replication factor R (default 2): workers
+	// keep each result on its key's first R ring owners. A submission
+	// may try the first R+1 across reroutes and hedges: the R that can
+	// hold the result plus one that can simulate it.
 	Replicas int
 
 	// A second request is hedged onto the next owner once a forward
@@ -109,20 +109,6 @@ type Coordinator struct {
 	closeOnce  sync.Once
 	healthWG   sync.WaitGroup
 
-	// Handoff state: one pass runs at a time; a membership change while
-	// one is running flags a rerun (handoff.go). handoffClosed is set
-	// under handoffMu before Close waits, so neither kickHandoff nor
-	// syncWorkers can Add to a WaitGroup that is already being waited on.
-	//tlrob:allow(process-lifetime base context for background handoff, cancelled by Close)
-	handoffCtx     context.Context
-	handoffCancel  context.CancelFunc
-	handoffMu      sync.Mutex
-	handoffRunning bool
-	handoffPending bool
-	handoffClosed  bool
-	handoffWG      sync.WaitGroup
-	syncWG         sync.WaitGroup
-
 	forwards, forwardErrors       atomic.Uint64
 	hedgesFired, hedgesWon        atomic.Uint64
 	reroutes, reroutes429         atomic.Uint64
@@ -130,10 +116,6 @@ type Coordinator struct {
 	nodeDeaths, nodeRevivals      atomic.Uint64
 	cacheHits, cacheMisses        atomic.Uint64 // as reported by worker responses
 	membersAdded, membersRemoved  atomic.Uint64
-	handoffRuns, handoffScanned   atomic.Uint64
-	handoffMoved, handoffSkipped  atomic.Uint64
-	handoffErrors                 atomic.Uint64
-	handoffActive                 atomic.Int64
 	memberSyncs, memberSyncErrors atomic.Uint64
 }
 
@@ -150,35 +132,23 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if err != nil {
 		return nil, err
 	}
-	hctx, hcancel := context.WithCancel(context.Background())
 	c := &Coordinator{
-		cfg:           cfg,
-		ring:          ring,
-		quotas:        NewQuotas(cfg.QuotaRate, cfg.QuotaBurst),
-		fairq:         NewFairQueue(cfg.MaxInflight),
-		lat:           newLatencyTracker(512),
-		stopHealth:    make(chan struct{}),
-		handoffCtx:    hctx,
-		handoffCancel: hcancel,
+		cfg:        cfg,
+		ring:       ring,
+		quotas:     NewQuotas(cfg.QuotaRate, cfg.QuotaBurst),
+		fairq:      NewFairQueue(cfg.MaxInflight),
+		lat:        newLatencyTracker(512),
+		stopHealth: make(chan struct{}),
 	}
 	c.healthWG.Add(1)
 	go c.healthLoop()
 	return c, nil
 }
 
-// Close stops the health prober, any running handoff pass and in-flight
-// member syncs. Safe to call more than once.
+// Close stops the health prober. Safe to call more than once.
 func (c *Coordinator) Close() {
-	c.closeOnce.Do(func() {
-		close(c.stopHealth)
-		c.handoffMu.Lock()
-		c.handoffClosed = true
-		c.handoffMu.Unlock()
-		c.handoffCancel()
-	})
+	c.closeOnce.Do(func() { close(c.stopHealth) })
 	c.healthWG.Wait()
-	c.handoffWG.Wait()
-	c.syncWG.Wait()
 }
 
 // Owners is the forward set for key in preference order: its first R+1
@@ -208,8 +178,8 @@ func (c *Coordinator) healthLoop() {
 
 // ApplyMemberChange mutates fleet membership (POST /v1/members and the
 // SIGHUP peer-file reload both land here). On any actual change the new
-// member list is pushed to every affected worker and a background key
-// handoff pass is kicked.
+// member list is pushed to every node that was or is a member; each
+// worker then repairs placement of the keys it holds (Replicator.Repair).
 func (c *Coordinator) ApplyMemberChange(ch MemberChange) (MembersReply, error) {
 	before := c.ring.Nodes()
 	added, removed, err := applyChange(c.ring, ch)
@@ -228,65 +198,55 @@ func (c *Coordinator) ApplyMemberChange(ch MemberChange) (MembersReply, error) {
 	c.membersAdded.Add(uint64(len(added)))
 	c.membersRemoved.Add(uint64(len(removed)))
 	c.cfg.Logf("cluster: membership changed: +%v -%v (now %d members)", added, removed, len(reply.Members))
-	c.syncWorkers(before, reply.Members)
-	c.kickHandoff()
-	reply.Handoff = true
+	// A removed node is told too, so it drains its keys to their owners.
+	c.syncWorkers(append(before, added...), reply.Members)
 	return reply, nil
 }
 
-// syncWorkers pushes the authoritative member list to every node that
-// was or is a member, so worker-side peer fill and replica writes
-// follow the new ring. Best-effort and asynchronous: a worker that
-// misses an update converges on the next change (set semantics are
-// idempotent), and the handoff pass repairs any placement drift.
-func (c *Coordinator) syncWorkers(before, after []string) {
-	targets := make(map[string]bool, len(before)+len(after))
-	for _, n := range before {
-		targets[n] = true
-	}
-	for _, n := range after {
-		targets[n] = true
-	}
-	body, err := json.Marshal(MemberChange{Action: "set", Nodes: after})
+// syncWorkers pushes the authoritative member list to each target and
+// waits for the answers, each bounded by HealthTimeout. Best-effort: a
+// worker that misses an update converges on the next change, or on its
+// revival if it was down (setAlive).
+func (c *Coordinator) syncWorkers(targets, members []string) {
+	body, err := json.Marshal(MemberChange{Action: "set", Nodes: members})
 	if err != nil {
 		c.cfg.Logf("cluster: member sync: %v", err)
 		return
 	}
-	c.handoffMu.Lock()
-	if c.handoffClosed {
-		c.handoffMu.Unlock()
-		return
-	}
-	c.syncWG.Add(len(targets))
-	c.handoffMu.Unlock()
-	for node := range targets {
-		node := node
+	var wg sync.WaitGroup
+	for _, node := range targets {
+		wg.Add(1)
 		go func() {
-			defer c.syncWG.Done()
-			ctx, cancel := context.WithTimeout(c.handoffCtx, c.cfg.HealthTimeout)
-			defer cancel()
-			req, err := http.NewRequestWithContext(ctx, http.MethodPost, node+"/v1/members", bytes.NewReader(body))
-			if err != nil {
-				c.memberSyncErrors.Add(1)
-				return
-			}
-			req.Header.Set("Content-Type", "application/json")
-			resp, err := c.cfg.Client.Do(req)
-			if err != nil {
+			defer wg.Done()
+			if err := c.postMembers(node, body); err != nil {
 				c.memberSyncErrors.Add(1)
 				c.cfg.Logf("cluster: member sync to %s: %v", node, err)
-				return
-			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode >= 300 {
-				c.memberSyncErrors.Add(1)
-				c.cfg.Logf("cluster: member sync to %s: http %d", node, resp.StatusCode)
 				return
 			}
 			c.memberSyncs.Add(1)
 		}()
 	}
+	wg.Wait()
+}
+
+func (c *Coordinator) postMembers(node string, body []byte) error {
+	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.HealthTimeout)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, node+"/v1/members", bytes.NewReader(body))
+	if err != nil {
+		return err
+	}
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := c.cfg.Client.Do(req)
+	if err != nil {
+		return err
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode >= 300 {
+		return fmt.Errorf("http %d", resp.StatusCode)
+	}
+	return nil
 }
 
 func (c *Coordinator) probeAll() {
@@ -324,6 +284,9 @@ func (c *Coordinator) setAlive(node string, alive bool) {
 	if alive {
 		c.nodeRevivals.Add(1)
 		c.cfg.Logf("cluster: node %s is back", node)
+		// It may have restarted with a stale peer list, or missed a
+		// change while down: hand it the current one.
+		c.syncWorkers([]string{node}, c.ring.Nodes())
 	} else {
 		c.nodeDeaths.Add(1)
 		c.cfg.Logf("cluster: node %s is down", node)
@@ -471,12 +434,6 @@ type Stats struct {
 	MembersRemoved uint64  `json:"members_removed"`
 	MemberSyncs    uint64  `json:"member_syncs"`
 	MemberSyncErrs uint64  `json:"member_sync_errors"`
-	HandoffRuns    uint64  `json:"handoff_runs"`
-	HandoffScanned uint64  `json:"handoff_keys_scanned"`
-	HandoffMoved   uint64  `json:"handoff_keys_moved"`
-	HandoffSkipped uint64  `json:"handoff_keys_skipped"`
-	HandoffErrors  uint64  `json:"handoff_errors"`
-	HandoffActive  int64   `json:"handoff_active"`
 	FairQueueDepth int     `json:"fairq_depth"`
 	HedgeDelayMs   float64 `json:"hedge_delay_ms"`
 	LatencyP50Ms   float64 `json:"latency_p50_ms"`
@@ -504,12 +461,6 @@ func (c *Coordinator) Stats() Stats {
 		MembersRemoved: c.membersRemoved.Load(),
 		MemberSyncs:    c.memberSyncs.Load(),
 		MemberSyncErrs: c.memberSyncErrors.Load(),
-		HandoffRuns:    c.handoffRuns.Load(),
-		HandoffScanned: c.handoffScanned.Load(),
-		HandoffMoved:   c.handoffMoved.Load(),
-		HandoffSkipped: c.handoffSkipped.Load(),
-		HandoffErrors:  c.handoffErrors.Load(),
-		HandoffActive:  c.handoffActive.Load(),
 		FairQueueDepth: c.fairq.Depth(),
 		HedgeDelayMs:   float64(c.hedgeDelay()) / 1e6,
 		LatencyP50Ms:   float64(c.lat.Quantile(0.50)) / 1e6,
@@ -638,7 +589,7 @@ func retryAfterSeconds(d time.Duration) string {
 }
 
 // handleMembers serves fleet membership: GET reports it, POST mutates
-// it through ApplyMemberChange (rebalancing + worker sync included).
+// it through ApplyMemberChange (worker sync included).
 func (c *Coordinator) handleMembers(w http.ResponseWriter, r *http.Request) {
 	if r.Method == http.MethodGet {
 		writeJSON(w, http.StatusOK, MembersReply{Members: c.ring.Nodes()})
@@ -813,12 +764,6 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		{"simd_cluster_members_removed_total", "counter", st.MembersRemoved},
 		{"simd_cluster_member_syncs_total", "counter", st.MemberSyncs},
 		{"simd_cluster_member_sync_errors_total", "counter", st.MemberSyncErrs},
-		{"simd_cluster_handoff_runs_total", "counter", st.HandoffRuns},
-		{"simd_cluster_handoff_keys_scanned_total", "counter", st.HandoffScanned},
-		{"simd_cluster_handoff_keys_moved_total", "counter", st.HandoffMoved},
-		{"simd_cluster_handoff_keys_skipped_total", "counter", st.HandoffSkipped},
-		{"simd_cluster_handoff_errors_total", "counter", st.HandoffErrors},
-		{"simd_cluster_handoff_active", "gauge", st.HandoffActive},
 		{"simd_cluster_fairq_depth", "gauge", st.FairQueueDepth},
 		{"simd_cluster_hedge_delay_ms", "gauge", st.HedgeDelayMs},
 		{"simd_cluster_latency_p50_ms", "gauge", st.LatencyP50Ms},

@@ -654,8 +654,8 @@ func TestTwoCoordinatorsServeOneFleet(t *testing.T) {
 	for i, w := range workers {
 		urls[i] = w.url
 	}
-	// Job-scoped requests b sent to any worker; the member sync and
-	// handoff that a removal starts use other paths.
+	// Job-scoped requests b sent to any worker; the member sync that a
+	// removal starts uses another path.
 	var upstream atomic.Int64
 	b := startCoordinator(t, urls, &http.Client{Transport: roundTripFunc(func(req *http.Request) (*http.Response, error) {
 		if strings.HasPrefix(req.URL.Path, "/v1/runs/") {

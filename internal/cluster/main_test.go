@@ -7,7 +7,7 @@ import (
 )
 
 // TestMain wraps the whole package in the goroutine-leak guard: every
-// coordinator, prober, handoff pass, and hedged forward spawned by a
+// coordinator, prober, repair pass, and hedged forward spawned by a
 // test must be joined or cancelled by the time the binary exits — the
 // dynamic counterpart of the golifecycle static pass.
 func TestMain(m *testing.M) {

@@ -8,8 +8,9 @@ import (
 )
 
 // MemberChange is the POST /v1/members request body, accepted by the
-// coordinator (which also rebalances and syncs workers) and by workers
-// (which just update their local ring for peer fill and replication).
+// coordinator (which also syncs workers) and by workers (which update
+// their local ring for peer fill and replication, and repair placement
+// through the ring's OnChange hook).
 type MemberChange struct {
 	// Action is "add", "remove" (Node required) or "set" (Nodes
 	// required, replacing the member list wholesale).
@@ -24,9 +25,6 @@ type MembersReply struct {
 	Added   []string `json:"added,omitempty"`
 	Removed []string `json:"removed,omitempty"`
 	Changed bool     `json:"changed"`
-	// Handoff is set by the coordinator when the change kicked a
-	// background key-handoff pass.
-	Handoff bool `json:"handoff,omitempty"`
 }
 
 // validateNodeURL rejects anything that is not a usable base URL.

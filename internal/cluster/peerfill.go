@@ -7,7 +7,10 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"time"
+
+	"repro/internal/store"
 )
 
 // PeerFiller lets a worker answer a locally missed submission from a
@@ -126,9 +129,49 @@ func NewReplicator(self string, ring *Ring, replicas int, timeout time.Duration,
 // result was simulated off-placement (a direct submission to the
 // "wrong" node) it repairs placement by pushing to every owner. Each
 // push is best-effort: a dead target simply stays behind, and the
-// coordinator's handoff pass or the next completion heals it.
+// next membership change's Repair or the next completion heals it.
 func (r *Replicator) Replicate(ctx context.Context, key string, data []byte) (pushed, failed int) {
-	for _, owner := range r.ring.Owners(key, r.replicas) {
+	return r.pushAll(ctx, r.ring.Owners(key, r.replicas), key, data)
+}
+
+// Repair is placement repair after a membership change: every key st
+// holds whose first-R owner set differs between the before member list
+// and the current ring is pushed to the owners it gained, and only to
+// those. Every holder of a key runs it, so a key keeps R copies as long
+// as one holder survives to push it; a node removed from the ring
+// drains its keys to their new owners the same way.
+func (r *Replicator) Repair(ctx context.Context, before []string, st *store.Store) (pushed, failed int) {
+	old, err := NewRing(before, r.ring.vnodes)
+	if err != nil {
+		return 0, 0
+	}
+	for _, key := range st.Keys() {
+		if ctx.Err() != nil {
+			break
+		}
+		had := old.Owners(key, r.replicas)
+		var gained []string
+		for _, o := range r.ring.Owners(key, r.replicas) {
+			if !slices.Contains(had, o) {
+				gained = append(gained, o)
+			}
+		}
+		if len(gained) == 0 {
+			continue
+		}
+		data, ok := st.Get(key)
+		if !ok {
+			continue
+		}
+		p, f := r.pushAll(ctx, gained, key, data)
+		pushed, failed = pushed+p, failed+f
+	}
+	return pushed, failed
+}
+
+// pushAll PUTs data to each of owners except this node.
+func (r *Replicator) pushAll(ctx context.Context, owners []string, key string, data []byte) (pushed, failed int) {
+	for _, owner := range owners {
 		if owner == r.self {
 			continue
 		}

@@ -34,7 +34,9 @@ type Ring struct {
 	points []point // sorted by hash
 	nodes  []string
 	alive  map[string]bool
-	gen    uint64 // bumped on every membership change
+	// onChange runs after every membership change with the member list
+	// from before it (OnChange).
+	onChange func(before []string)
 }
 
 // ringHash places s on the 64-bit ring keyspace. SHA-256 keeps vnode
@@ -101,13 +103,14 @@ func (r *Ring) Nodes() []string {
 	return append([]string(nil), r.nodes...)
 }
 
-// Generation counts membership changes. A handoff pass snapshots it and
-// aborts when it moves, so a stale pass never applies an old ring's
-// placement decisions.
-func (r *Ring) Generation() uint64 {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.gen
+// OnChange registers fn to run after every membership change, with the
+// member list from before the change. It runs on the goroutine that
+// made the change, after the new ring is in place, so fn sees the new
+// placement through Owners. A worker uses it to start placement repair.
+func (r *Ring) OnChange(fn func(before []string)) {
+	r.mu.Lock()
+	r.onChange = fn
+	r.mu.Unlock()
 }
 
 // Add joins node to the ring (initially alive) and rebuilds the vnode
@@ -116,38 +119,29 @@ func (r *Ring) Add(node string) bool {
 	if node == "" {
 		return false
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.alive[node]; ok {
-		return false
-	}
-	r.nodes = append(r.nodes, node)
-	sort.Strings(r.nodes)
-	r.alive[node] = true
-	r.gen++
-	r.rebuildLocked()
-	return true
+	added, _ := r.update(func(cur []string) []string {
+		return append(append([]string(nil), cur...), node)
+	})
+	return len(added) > 0
 }
 
 // Remove drops node from the ring and rebuilds the vnode table. The
 // last member cannot be removed (a ring with no nodes routes nothing).
 // It reports false if node is not a member or is the last one.
 func (r *Ring) Remove(node string) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.alive[node]; !ok || len(r.nodes) == 1 {
-		return false
-	}
-	delete(r.alive, node)
-	for i, n := range r.nodes {
-		if n == node {
-			r.nodes = append(r.nodes[:i], r.nodes[i+1:]...)
-			break
+	_, removed := r.update(func(cur []string) []string {
+		if len(cur) == 1 {
+			return cur
 		}
-	}
-	r.gen++
-	r.rebuildLocked()
-	return true
+		next := make([]string, 0, len(cur))
+		for _, n := range cur {
+			if n != node {
+				next = append(next, n)
+			}
+		}
+		return next
+	})
+	return len(removed) > 0
 }
 
 // SetMembers replaces the member list wholesale (the SIGHUP peer-file
@@ -165,8 +159,19 @@ func (r *Ring) SetMembers(nodes []string) (added, removed []string, err error) {
 			return nil, nil, fmt.Errorf("cluster: duplicate node %q", next[i])
 		}
 	}
+	added, removed = r.update(func([]string) []string { return next })
+	return added, removed, nil
+}
+
+// update replaces the member list with edit(current), which must be
+// non-empty and free of duplicates once sorted. New members start
+// alive; retained ones keep their liveness. On a real change it
+// rebuilds the vnode table and then runs the OnChange hook.
+func (r *Ring) update(edit func(cur []string) []string) (added, removed []string) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
+	before := r.nodes
+	next := edit(before)
+	sort.Strings(next)
 	want := make(map[string]bool, len(next))
 	for _, n := range next {
 		want[n] = true
@@ -174,13 +179,14 @@ func (r *Ring) SetMembers(nodes []string) (added, removed []string, err error) {
 			added = append(added, n)
 		}
 	}
-	for _, n := range r.nodes {
+	for _, n := range before {
 		if !want[n] {
 			removed = append(removed, n)
 		}
 	}
 	if len(added) == 0 && len(removed) == 0 {
-		return nil, nil, nil
+		r.mu.Unlock()
+		return nil, nil
 	}
 	for _, n := range removed {
 		delete(r.alive, n)
@@ -189,9 +195,13 @@ func (r *Ring) SetMembers(nodes []string) (added, removed []string, err error) {
 		r.alive[n] = true
 	}
 	r.nodes = next
-	r.gen++
 	r.rebuildLocked()
-	return added, removed, nil
+	hook := r.onChange
+	r.mu.Unlock()
+	if hook != nil {
+		hook(before)
+	}
+	return added, removed
 }
 
 // SetAlive marks a node's liveness and reports whether that changed.

@@ -101,8 +101,8 @@ func TestRingRejectsDuplicatesAndEmpty(t *testing.T) {
 }
 
 // ownersDistinct fails the test if any key's owner list repeats a
-// physical node — the invariant that keeps replication and handoff from
-// counting one copy twice.
+// physical node — the invariant that keeps replication and placement
+// repair from counting one copy twice.
 func ownersDistinct(t *testing.T, r *Ring, keys []string) {
 	t.Helper()
 	for _, key := range keys {
@@ -147,21 +147,24 @@ func TestRingAddRemove(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen := r.Generation()
+	var fired [][]string
+	r.OnChange(func(before []string) { fired = append(fired, before) })
 	for _, step := range steps {
+		prev := r.Nodes()
+		fired = nil
 		if got := step.op(r); got != step.wantOK {
 			t.Fatalf("%s: reported %v, want %v", step.name, got, step.wantOK)
 		}
 		if got := r.Nodes(); !reflect.DeepEqual(got, step.members) {
 			t.Fatalf("%s: members %v, want %v", step.name, got, step.members)
 		}
-		if step.wantOK {
-			if g := r.Generation(); g != gen+1 {
-				t.Fatalf("%s: generation %d, want %d", step.name, g, gen+1)
-			}
-			gen++
-		} else if g := r.Generation(); g != gen {
-			t.Fatalf("%s: no-op bumped the generation", step.name)
+		// The hook fires once per real change, with the list from
+		// before it, and never on a no-op.
+		if step.wantOK && !reflect.DeepEqual(fired, [][]string{prev}) {
+			t.Fatalf("%s: OnChange got %v, want one call with %v", step.name, fired, prev)
+		}
+		if !step.wantOK && fired != nil {
+			t.Fatalf("%s: no-op fired OnChange with %v", step.name, fired)
 		}
 		ownersDistinct(t, r, ringProbeKeys)
 		// The mutated ring must agree with a fresh one on every routing
@@ -280,14 +283,11 @@ func TestRingSetMembers(t *testing.T) {
 	}
 	ownersDistinct(t, r, ringProbeKeys)
 
-	// An identical list is a no-op and does not bump the generation.
-	gen := r.Generation()
+	// An identical list is a no-op and does not fire OnChange.
+	r.OnChange(func(before []string) { t.Fatalf("no-op reload fired OnChange with %v", before) })
 	added, removed, err = r.SetMembers([]string{"http://node-d:1", "http://node-c:1", "http://node-b:1"})
 	if err != nil || added != nil || removed != nil {
 		t.Fatalf("no-op reload: added %v removed %v err %v", added, removed, err)
-	}
-	if r.Generation() != gen {
-		t.Fatal("no-op reload bumped the generation")
 	}
 
 	if _, _, err := r.SetMembers(nil); err == nil {

@@ -8,6 +8,8 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
+
+	"repro/internal/store"
 )
 
 // Handler returns the daemon's HTTP API:
@@ -18,7 +20,7 @@ import (
 //	GET    /v1/runs/{id}/events NDJSON progress stream
 //	GET    /v1/cache           cached content hashes on this node
 //	GET    /v1/cache/{key}     raw cached result (peer fill / warm-up)
-//	PUT    /v1/cache/{key}     store a result (replication / handoff)
+//	PUT    /v1/cache/{key}     store a result (replication / placement repair)
 //	GET    /v1/stats           Stats as JSON (fleet aggregation)
 //	GET    /metrics            Prometheus-style text metrics
 //	GET    /healthz            liveness
@@ -158,7 +160,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 // other in a fill loop.
 func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
-	if len(key) != 64 {
+	if !store.ValidKey(key) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("malformed cache key %q", key))
 		return
 	}
@@ -172,13 +174,13 @@ func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
 	w.Write(data)
 }
 
-// handleCachePut stores a result pushed by a peer (replication after a
-// completed simulation) or by the coordinator (key handoff after a
-// membership change). The key is content-addressed, so a write is
-// idempotent and a racing writer is harmless.
+// handleCachePut stores a result pushed by a peer, after a completed
+// simulation (replication) or after a membership change (placement
+// repair). The key is content-addressed, so a write is idempotent and a
+// racing writer is harmless.
 func (s *Server) handleCachePut(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
-	if len(key) != 64 {
+	if !store.ValidKey(key) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("malformed cache key %q", key))
 		return
 	}

@@ -175,10 +175,11 @@ type Stats struct {
 	PeerFillMisses uint64
 	PeerServed     uint64
 	// PeerStored counts entries written into the local store by peers
-	// or the coordinator via PUT /v1/cache/{key} (replication, handoff).
+	// via PUT /v1/cache/{key} (replication and placement repair).
 	PeerStored uint64
 	// ReplicaPushed/ReplicaFailed count this node's own replica writes
-	// to other ring owners after completed simulations.
+	// to other ring owners, after completed simulations and in
+	// placement repair passes.
 	ReplicaPushed uint64
 	ReplicaFailed uint64
 
@@ -417,7 +418,6 @@ func (s *Server) runJob(j *Job) {
 	defer cancel()
 
 	s.inflight.Add(1)
-	defer s.inflight.Add(-1)
 	j.setStarted()
 	j.emit(Event{Type: "running", Total: len(j.mixes)})
 	if s.beforeRun != nil {
@@ -426,6 +426,9 @@ func (s *Server) runJob(j *Job) {
 
 	start := time.Now()
 	series, cycles, runErr := s.simulate(ctx, j)
+	// Not deferred: a waiter woken by finish below must see the job
+	// out of Inflight.
+	s.inflight.Add(-1)
 	s.simNanosSum.Add(uint64(time.Since(start).Nanoseconds()))
 	s.simTimedJobs.Add(1)
 
@@ -516,6 +519,26 @@ func (s *Server) runSweep(ctx context.Context, j *Job) (report.Series, int64, er
 		}
 	}
 	return report.FromSeries(series, true), cycles, nil
+}
+
+// Rereplicate runs a placement repair pass in the background, on the
+// server's base context rather than on the request that triggered it.
+// Its pushes count as replica writes, and Shutdown joins it as it joins
+// replica pushes. A draining server starts no new pass.
+func (s *Server) Rereplicate(pass func(ctx context.Context) (pushed, failed int)) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.draining {
+		return
+	}
+	s.replicaWG.Add(1)
+	go func() {
+		defer s.replicaWG.Done()
+		pushed, failed := pass(s.baseCtx)
+		s.replicaPushed.Add(uint64(pushed))
+		s.replicaFailed.Add(uint64(failed))
+		s.cfg.Logf("simd: placement repair: %d pushed, %d failed", pushed, failed)
+	}()
 }
 
 // Shutdown drains the server: submissions are refused, queued and

@@ -617,7 +617,7 @@ func TestRetryAfterSecondsEstimate(t *testing.T) {
 	}
 }
 
-// TestCachePutRoundTrip covers the replication/handoff write path: a
+// TestCachePutRoundTrip covers the replication/repair write path: a
 // peer PUTs a result, the node serves it locally (including to Submit)
 // without simulating, and malformed writes are rejected.
 func TestCachePutRoundTrip(t *testing.T) {

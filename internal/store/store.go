@@ -145,6 +145,9 @@ func (s *Store) scanDisk() {
 				continue
 			}
 			key := strings.TrimSuffix(name, ".json")
+			if !ValidKey(key) {
+				continue
+			}
 			s.disk[key] = info.Size()
 			s.diskBytes += info.Size()
 		}
@@ -189,13 +192,32 @@ func (s *Store) diskForget(key string) {
 	s.diskMu.Unlock()
 }
 
+// ValidKey reports whether key is a content address as Key makes them:
+// 64 lowercase hex digits. Only such keys reach the file system, so no
+// key can name a path outside the store's directory.
+func ValidKey(key string) bool {
+	if len(key) != 64 {
+		return false
+	}
+	for i := 0; i < len(key); i++ {
+		if c := key[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
+}
+
 func (s *Store) path(key string) string {
 	return filepath.Join(s.dir, key[:2], key+".json")
 }
 
 // Get returns the cached payload for key. Callers must not mutate the
-// returned slice.
+// returned slice. A key that is not ValidKey is a miss.
 func (s *Store) Get(key string) ([]byte, bool) {
+	if !ValidKey(key) {
+		s.misses.Add(1)
+		return nil, false
+	}
 	s.mu.Lock()
 	if el, ok := s.items[key]; ok {
 		s.ll.MoveToFront(el)
@@ -247,8 +269,11 @@ func (s *Store) dropCorrupt(key string) {
 // document (results always are); it is embedded verbatim in the on-disk
 // envelope. Concurrent writers of the same key are safe: each writes
 // its own temp file and the atomic rename leaves exactly one
-// <hash>.json behind.
+// <hash>.json behind. A key that is not ValidKey is an error.
 func (s *Store) Put(key string, data []byte) error {
+	if !ValidKey(key) {
+		return fmt.Errorf("store: malformed key %q", key)
+	}
 	s.memPut(key, data)
 	return s.writeDisk(key, data)
 }

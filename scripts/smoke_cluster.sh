@@ -7,14 +7,18 @@
 #   - exactly one worker simulated each distinct spec (sharding works)
 #   - a worker asked directly for another shard's key answers from peer
 #     cache fill without re-simulating
-#   - a node added via POST /v1/members mid-sweep joins the ring and
-#     triggers a key-handoff pass that runs to completion, after which
-#     every cached key is held by at least R=2 live workers
+#   - a node added via POST /v1/members mid-sweep joins the ring, every
+#     worker's ring follows, and placement repair leaves every cached
+#     key on at least R=2 live workers
+#   - after fresh specs simulate on that 4-member ring and the new node
+#     is removed again gracefully, it and the other workers repair
+#     placement so every key is on at least 2 of the remaining members
 #   - a worker killed with SIGKILL is routed around: the fleet keeps
 #     answering and the coordinator marks the node dead
-#   - after the membership change and the primary's death, a repeat
-#     sweep's cache-hit ratio does not regress (replication + handoff
-#     mean the dead node's keys are still served without re-simulating)
+#   - after the membership changes and the primary's death, a repeat
+#     sweep's cache-hit ratio does not regress (replication + placement
+#     repair mean the dead node's keys are still served without
+#     re-simulating)
 #   - a second coordinator over the same member list serves a job
 #     submitted through the first (status poll to done, /events), since
 #     job IDs name their worker; after the first coordinator is
@@ -104,7 +108,7 @@ SIMS=$(curl -fsS "$COORD/v1/fleet" | jq .totals.simulations)
 FILLS=$(curl -fsS "$COORD/v1/fleet" | jq '[.nodes[].stats.PeerFillHits] | add')
 [ "$FILLS" -ge 1 ] || { echo "no peer fill recorded"; exit 1; }
 
-echo "==> membership: add a 4th worker mid-sweep, handoff rebalances"
+echo "==> membership: add a 4th worker mid-sweep"
 W3="http://127.0.0.1:$((PORT_BASE + 3))"
 "$BINDIR/simd" -addr "127.0.0.1:$((PORT_BASE + 3))" -cache-dir "$CACHE_ROOT/w3" \
   -workers 2 -peers "$PEERS,$W3" >"$BINDIR/worker3.log" 2>&1 &
@@ -120,32 +124,48 @@ LOAD2_JSON="$BINDIR/load2.json"
 "$BINDIR/simdload" -url "$COORD" -n 120 -c 16 -tenants 4 -specs 8 -budget 3000 -json "$LOAD2_JSON" &
 SWEEP2=$!
 R=$(curl -fsS -X POST "$COORD/v1/members" -d "{\"action\":\"add\",\"node\":\"$W3\"}")
-echo "$R" | jq -e '.changed == true and .handoff == true' >/dev/null \
+echo "$R" | jq -e '.changed == true' >/dev/null \
   || { echo "member add did not change the ring: $R"; exit 1; }
 wait "$SWEEP2"
 "$BINDIR/checkbench" -min-rps 1 "$LOAD2_JSON"
-echo "==> handoff pass runs to completion"
-for _ in $(seq 1 100); do
-  METRICS=$(curl -fsS "$COORD/metrics")
-  RUNS=$(echo "$METRICS" | awk '/^simd_cluster_handoff_runs_total/ {print $2}')
-  ACTIVE=$(echo "$METRICS" | awk '/^simd_cluster_handoff_active/ {print $2}')
-  [ "${RUNS:-0}" -ge 1 ] && [ "${ACTIVE:-1}" -eq 0 ] && break
-  sleep 0.2
-done
-[ "${RUNS:-0}" -ge 1 ] && [ "${ACTIVE:-1}" -eq 0 ] \
-  || { echo "handoff never completed (runs=$RUNS active=$ACTIVE)"; exit 1; }
 N_MEMBERS=$(curl -fsS "$COORD/v1/members" | jq '.members | length')
 [ "$N_MEMBERS" -eq 4 ] || { echo "coordinator reports $N_MEMBERS members, want 4"; exit 1; }
+for url in "$W0" "$W1" "$W2" "$W3"; do
+  N=$(curl -fsS "$url/v1/members" | jq '.members | length')
+  [ "$N" -eq 4 ] || { echo "$url reports $N members, want 4"; exit 1; }
+done
+
+# check_placement fails unless every key cached on a current member is
+# held by at least R=2 of the members. Repair pushes run off the request
+# path, so they get a moment to land.
+check_placement() {
+  local members under
+  members=$(curl -fsS "$COORD/v1/members" | jq -r '.members[]')
+  for _ in $(seq 1 50); do
+    under=$(for url in $members; do curl -fsS "$url/v1/cache" | jq -r '(.keys // [])[]'; done \
+      | sort | uniq -c | awk '$1 < 2' | wc -l)
+    [ "$under" -eq 0 ] && return 0
+    sleep 0.2
+  done
+  echo "$under cached keys are held by fewer than 2 of: $members"
+  return 1
+}
+
+echo "==> fresh specs simulate on the 4-member ring"
+# These keys are placed with W3 as one of their owners, so removing W3
+# below leaves them short of R unless W3 and its co-holder push them on.
+LOAD_NEW_JSON="$BINDIR/load_new.json"
+"$BINDIR/simdload" -url "$COORD" -seed 2 -n 60 -c 8 -tenants 4 -specs 16 -budget 3000 -json "$LOAD_NEW_JSON"
+"$BINDIR/checkbench" -min-rps 1 "$LOAD_NEW_JSON"
 
 echo "==> placement: every cached key is held by at least R=2 live workers"
-# Replica pushes run off the request path, so allow them a moment to land.
-for _ in $(seq 1 50); do
-  UNDER=$(for url in "$W0" "$W1" "$W2" "$W3"; do curl -fsS "$url/v1/cache" | jq -r '(.keys // [])[]'; done \
-    | sort | uniq -c | awk '$1 < 2' | wc -l)
-  [ "$UNDER" -eq 0 ] && break
-  sleep 0.2
-done
-[ "$UNDER" -eq 0 ] || { echo "$UNDER cached keys are held by fewer than 2 workers"; exit 1; }
+check_placement
+
+echo "==> membership: gracefully remove the 4th worker, placement repairs"
+R=$(curl -fsS -X POST "$COORD/v1/members" -d "{\"action\":\"remove\",\"node\":\"$W3\"}")
+echo "$R" | jq -e '.changed == true and (.members | length) == 3' >/dev/null \
+  || { echo "member remove did not change the ring: $R"; exit 1; }
+check_placement
 
 echo "==> chaos: SIGKILL an old primary, fleet keeps answering"
 kill -9 "$WPID0"
@@ -164,7 +184,7 @@ done
 [ "${ALIVE:-4}" -le 3 ] || { echo "dead node still counted alive ($ALIVE)"; exit 1; }
 
 echo "==> hit ratio survives the membership change + primary death"
-# Replication (R=2) plus handoff mean every key the dead worker held is
+# Replication (R=2) plus placement repair mean every key the dead worker held is
 # still served from a live replica: a repeat of the original sweep must
 # hit the cache at least as often as the first pass did.
 RATE1=$(jq .cache_hit_rate "$LOAD_JSON")
