@@ -7,18 +7,17 @@ package experiments
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"repro"
 	"repro/internal/metrics"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
+	"repro/internal/workpool"
 )
 
 // Params controls the experiment sweep.
@@ -210,7 +209,7 @@ func (r *Runner) singleIPCsFor(ctx context.Context, scheme string, names map[str
 		return r.copySingles(), nil
 	}
 	opt := tlrob.Options{Budget: r.params.Budget, Seed: r.params.Seed}
-	err := r.parallel(ctx, len(todo), func(i int) error {
+	err := workpool.Run(ctx, r.params.workers(), len(todo), func(i int) error {
 		res, err := tlrob.RunSingle(todo[i], opt)
 		if err != nil {
 			return err
@@ -235,57 +234,6 @@ func (r *Runner) copySingles() map[string]float64 {
 		out[k] = v
 	}
 	return out
-}
-
-// parallel runs fn(0..n-1) across the worker pool. Every error is
-// collected and returned joined (a failing sweep reports all broken
-// configurations, not an arbitrary first one), and no new jobs are
-// dispatched once a failure is observed or ctx is cancelled —
-// already-running jobs finish, queued ones are dropped. A cancelled
-// context surfaces as ctx.Err() joined ahead of any job errors.
-func (r *Runner) parallel(ctx context.Context, n int, fn func(i int) error) error {
-	workers := r.params.workers()
-	if workers > n {
-		workers = n
-	}
-	var (
-		wg     sync.WaitGroup
-		mu     sync.Mutex
-		errs   []error
-		failed atomic.Bool
-	)
-	jobs := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				if ctx.Err() != nil {
-					continue // drain without running
-				}
-				if err := fn(i); err != nil {
-					mu.Lock()
-					errs = append(errs, err)
-					mu.Unlock()
-					failed.Store(true)
-				}
-			}
-		}()
-	}
-dispatch:
-	for i := 0; i < n && !failed.Load(); i++ {
-		select {
-		case jobs <- i:
-		case <-ctx.Done():
-			break dispatch
-		}
-	}
-	close(jobs)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		errs = append([]error{err}, errs...)
-	}
-	return errors.Join(errs...)
 }
 
 // RunScheme evaluates one scheme over all Table-2 mixes.
@@ -317,7 +265,7 @@ func (r *Runner) RunMixes(ctx context.Context, spec SchemeSpec, mixes []workload
 	if r.params.Telemetry {
 		opt.Telemetry = true
 	}
-	err = r.parallel(ctx, len(mixes), func(i int) error {
+	err = workpool.Run(ctx, r.params.workers(), len(mixes), func(i int) error {
 		mix := mixes[i]
 		res, err := tlrob.RunMix(mix, opt, singles)
 		if err != nil {

@@ -13,7 +13,10 @@
 # matches that side's perfbench/golden.json), or if on either workload
 # the median over pairs of sim_kips(change) / sim_kips(base) is below
 # BOUND. Writes the per-pair table to perf_ab.tsv in the current
-# directory.
+# directory, with each run's set-up time (setup_s: the single-thread
+# reference runs) beside its sim_kips, and prints the median setup_s
+# ratio per workload. The setup_s columns are reported only; they never
+# fail the gate.
 set -euo pipefail
 
 readonly PAIRS=8
@@ -37,8 +40,9 @@ git -C "$root" worktree add --quiet --detach "$tmp/base-src" "$base"
 mkdir -p "$tmp/base" "$tmp/change"
 declare -A script=([base]="$tmp/base-src/perfbench/run.sh" [change]="$root/perfbench/run.sh")
 
-# run SIDE WORKLOAD SEED prints the run's sim_kips, or fails with the
-# run's output when it errored or was not correct.
+# run SIDE WORKLOAD SEED prints the run's sim_kips and setup_s separated
+# by a tab, or fails with the run's output when it errored or was not
+# correct.
 run() {
   local side=$1 w=$2 seed=$3 line
   if ! line=$(cd "$tmp/$side" && bash "${script[$side]}" --workload "$w" --seed "$seed" \
@@ -51,28 +55,38 @@ run() {
     echo "perf_ab: $side $w seed $seed: want \"correct\":true and \"failed\":0, got: $line" >&2
     return 1
   fi
-  jq -r '.metrics.sim_kips.value' <<<"$line"
+  jq -r '"\(.metrics.sim_kips.value)\t\(.metrics.setup_s.value)"' <<<"$line"
 }
 
-printf 'workload\tseed\tfirst\tbase_kips\tchange_kips\tratio\n' >"$TABLE"
+# median_of prints the median of its arguments.
+median_of() {
+  printf '%s\n' "$@" | jq -s 'sort | (.[(length - 1) / 2 | floor] + .[length / 2 | floor]) / 2'
+}
+
+printf 'workload\tseed\tfirst\tbase_kips\tchange_kips\tratio\tbase_setup_s\tchange_setup_s\n' >"$TABLE"
 status=0
 for w in "${WORKLOADS[@]}"; do
   ratios=()
+  setup_ratios=()
   for ((seed = 1; seed <= PAIRS; seed++)); do
     if ((seed % 2)); then
       first=base
-      b=$(run base "$w" "$seed")
-      c=$(run change "$w" "$seed")
+      base_out=$(run base "$w" "$seed")
+      change_out=$(run change "$w" "$seed")
     else
       first=change
-      c=$(run change "$w" "$seed")
-      b=$(run base "$w" "$seed")
+      change_out=$(run change "$w" "$seed")
+      base_out=$(run base "$w" "$seed")
     fi
+    read -r b bs <<<"$base_out"
+    read -r c cs <<<"$change_out"
     r=$(jq -n "$c / $b")
     ratios+=("$r")
-    printf '%s\t%d\t%s\t%s\t%s\t%.4f\n' "$w" "$seed" "$first" "$b" "$c" "$r" | tee -a "$TABLE"
+    setup_ratios+=("$(jq -n "$cs / $bs")")
+    printf '%s\t%d\t%s\t%s\t%s\t%.4f\t%s\t%s\n' "$w" "$seed" "$first" "$b" "$c" "$r" "$bs" "$cs" | tee -a "$TABLE"
   done
-  median=$(printf '%s\n' "${ratios[@]}" | jq -s 'sort | (.[(length - 1) / 2 | floor] + .[length / 2 | floor]) / 2')
+  printf 'perf_ab: %s: median setup_s ratio %.4f (report only)\n' "$w" "$(median_of "${setup_ratios[@]}")"
+  median=$(median_of "${ratios[@]}")
   if jq -e -n "$median < $BOUND" >/dev/null; then
     printf 'perf_ab: %s: median sim_kips ratio %.4f is below %.2f\n' "$w" "$median" "$BOUND" >&2
     status=1

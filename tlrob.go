@@ -21,9 +21,12 @@
 package tlrob
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 
 	"repro/internal/metrics"
 	"repro/internal/pipeline"
@@ -32,6 +35,7 @@ import (
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/workload"
+	"repro/internal/workpool"
 )
 
 // Scheme selects the second-level ROB allocation scheme.
@@ -246,26 +250,52 @@ func RunSingle(bench string, opt Options) (SingleResult, error) {
 	return SingleResult{Benchmark: bench, Cycles: res.Cycles, IPC: res.IPC[0], Raw: res}, nil
 }
 
-// SingleIPCs runs each named benchmark alone and returns its IPC, caching
-// nothing — callers (the experiment harness) memoize as needed.
+// SingleIPCs runs each distinct named benchmark alone (see RunSingle)
+// and returns its IPC, caching nothing — callers (the experiment
+// harness) memoize as needed. Every name is checked before anything is
+// simulated; unknown names fail the call together in one error. The
+// reference runs are independent and go to runtime.GOMAXPROCS(0)
+// workers; each fills only its own slot, so the map does not depend on
+// the worker count. Telemetry is off for them, since only the IPC is
+// kept.
 func SingleIPCs(benchmarks []string, opt Options) (map[string]float64, error) {
 	out := make(map[string]float64, len(benchmarks))
+	var distinct, unknown []string
 	for _, b := range benchmarks {
-		if _, done := out[b]; done {
+		if _, dup := out[b]; dup {
 			continue
 		}
-		r, err := RunSingle(b, opt)
-		if err != nil {
-			return nil, err
+		out[b] = 0
+		if _, ok := workload.ProfileFor(b); !ok {
+			unknown = append(unknown, fmt.Sprintf("%q", b))
 		}
-		out[b] = r.IPC
+		distinct = append(distinct, b)
+	}
+	if len(unknown) > 0 {
+		return nil, fmt.Errorf("tlrob: unknown benchmark(s) %s", strings.Join(unknown, ", "))
+	}
+	opt.Telemetry = false
+	opt.TelemetrySampleInterval = 0
+	ipcs := make([]float64, len(distinct))
+	err := workpool.Run(context.Background(), runtime.GOMAXPROCS(0), len(distinct), func(i int) error {
+		r, err := RunSingle(distinct[i], opt)
+		ipcs[i] = r.IPC
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	for i, b := range distinct {
+		out[b] = ipcs[i]
 	}
 	return out, nil
 }
 
 // RunBenchmarks simulates an arbitrary multithreaded combination.
 // singleIPC supplies weighted-IPC denominators; pass nil to have them
-// computed on the fly (slower: one extra run per distinct benchmark).
+// computed on the fly by SingleIPCs (one extra run per distinct
+// benchmark, on runtime.GOMAXPROCS(0) workers; the result does not
+// depend on the worker count).
 func RunBenchmarks(name string, benches []string, opt Options, singleIPC map[string]float64) (MixResult, error) {
 	if len(benches) == 0 {
 		return MixResult{}, fmt.Errorf("tlrob: no benchmarks given")
