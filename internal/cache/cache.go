@@ -144,6 +144,77 @@ func (c *Cache) Insert(addr uint64) {
 	c.fill(c.setOf(line)*c.cfg.Assoc, line)
 }
 
+// insertRun inserts the n consecutive lines starting at addr's line, in
+// ascending order, leaving exactly the state n Insert calls would leave.
+// A run shorter than the cache's sets×assoc lines is that Insert loop. A
+// longer run overwrites every way of every set, so it is written in
+// closed form, set by set, touching each way once:
+//
+//   - A set's fills follow a fixed victim order: its invalid ways by
+//     index, then its valid ways by ascending stamp.
+//     Each fill becomes the newest line, so the order then repeats, and
+//     the set's j-th fill of the run lands in order[j mod assoc].
+//   - Consecutive lines walk the sets round-robin: run index k is the
+//     (k/sets)-th fill of set (first+k) mod sets, and its stamp is the
+//     global stamp plus k+1. Only each set's last assoc fills survive.
+func (c *Cache) insertRun(addr uint64, n uint64) {
+	assoc := c.cfg.Assoc
+	capLines := uint64(c.sets * assoc)
+	lineB := uint64(c.cfg.LineB)
+	if n < capLines {
+		for k := uint64(0); k < n; k++ {
+			c.Insert(addr + k*lineB)
+		}
+		return
+	}
+	first := c.Line(addr)
+	lineMask := ^uint64(0) >> c.lineBits // Line of a wrapped address
+	sets, a := uint64(c.sets), uint64(assoc)
+	q, rem := n/sets, n%sets
+	ord := make([]int, assoc)
+	for s := 0; s < c.sets; s++ {
+		// r is the run index of the set's first line. The set takes
+		// ceil((n-r)/sets) lines, all but the last assoc of them dead.
+		r := (uint64(s) - first) & c.setMask
+		dead := q - a
+		if r < rem {
+			dead++
+		}
+		k := r + dead*sets // run index of the set's first survivor
+		o := int(dead % a)
+		base := s * assoc
+		c.victimOrder(base, ord)
+		for range ord {
+			w := base + ord[o]
+			c.tags[w] = (first + k) & lineMask
+			c.valid[w] = true
+			c.lru[w] = c.stamp + k + 1
+			k += sets
+			if o++; o == assoc {
+				o = 0
+			}
+		}
+	}
+	c.stamp += n
+}
+
+// victimOrder sets ord to the ways of the set at base in the order
+// successive fills would pick them as victims: least recently used
+// first, ties by index. Invalid ways hold stamp 0 (New and Flush clear
+// it), below every valid way's, so they come first, by index, as fill
+// takes them.
+func (c *Cache) victimOrder(base int, ord []int) {
+	lru := c.lru[base : base+len(ord)]
+	for w := range ord {
+		i := w
+		for i > 0 && lru[ord[i-1]] > lru[w] {
+			ord[i] = ord[i-1]
+			i--
+		}
+		ord[i] = w
+	}
+}
+
 func (c *Cache) touch(base, way int) {
 	c.stamp++
 	c.lru[base+way] = c.stamp

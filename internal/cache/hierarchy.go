@@ -247,9 +247,7 @@ func (h *Hierarchy) Prewarm(base, size uint64, code bool) {
 	if n > l2Cap {
 		n = l2Cap
 	}
-	for off := uint64(0); off < n; off += uint64(h.cfg.L2.LineB) {
-		h.L2.Insert(base + off)
-	}
+	h.L2.insertRun(base, lines(n, h.cfg.L2.LineB))
 	l1 := h.L1D
 	if code {
 		l1 = h.L1I
@@ -258,9 +256,13 @@ func (h *Hierarchy) Prewarm(base, size uint64, code bool) {
 	if n1 > uint64(l1.Config().SizeB) {
 		n1 = uint64(l1.Config().SizeB)
 	}
-	for off := uint64(0); off < n1; off += uint64(l1.Config().LineB) {
-		l1.Insert(base + off)
-	}
+	l1.insertRun(base, lines(n1, l1.Config().LineB))
+}
+
+// lines is the number of lineB-byte steps an n-byte region spans from its
+// base: ceil(n / lineB).
+func lines(n uint64, lineB int) uint64 {
+	return (n + uint64(lineB) - 1) / uint64(lineB)
 }
 
 // OutstandingMisses reports the number of line fills in flight at cycle now.

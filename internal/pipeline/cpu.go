@@ -246,6 +246,7 @@ func New(cfg Config, sources []TraceSource) (*CPU, error) {
 	var regions []isa.Region
 	for i := range c.threads {
 		c.threads[i].src = sources[i]
+		c.threads[i].fq = newFeQueue(cfg.FrontEndBuf)
 		if cfg.Prewarm {
 			if rp, ok := sources[i].(RegionProvider); ok {
 				regions = append(regions, rp.Regions()...)

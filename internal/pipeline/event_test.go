@@ -150,7 +150,7 @@ func TestEventHeapMatchesReference(t *testing.T) {
 }
 
 func TestFeQueue(t *testing.T) {
-	var q feQueue
+	q := newFeQueue(4)
 	if q.len() != 0 {
 		t.Fatal("fresh queue not empty")
 	}
@@ -165,7 +165,7 @@ func TestFeQueue(t *testing.T) {
 	if q.len() != 0 {
 		t.Fatal("not empty after pops")
 	}
-	// Push after full drain reuses storage from the start.
+	// Push after full drain reuses the same storage.
 	q.push(feEntry{readyAt: 3})
 	if q.peek().readyAt != 3 {
 		t.Fatal("reuse after drain broken")
@@ -173,5 +173,62 @@ func TestFeQueue(t *testing.T) {
 	q.clear()
 	if q.len() != 0 {
 		t.Fatal("clear failed")
+	}
+}
+
+// TestFeQueueWrapAndFull drives the ring around its end many times, at
+// every fill level up to full capacity, checking FIFO order and at(i)
+// against a plain slice.
+func TestFeQueueWrapAndFull(t *testing.T) {
+	const capacity = 5
+	q := newFeQueue(capacity)
+	var ref []int64
+	next := int64(0)
+	for round := 0; round < 4*capacity; round++ {
+		// Fill to a level that cycles through 1..capacity, then drain
+		// all but one entry, so the head walks round the ring.
+		level := 1 + round%capacity
+		for q.len() < level {
+			q.push(feEntry{readyAt: next})
+			ref = append(ref, next)
+			next++
+		}
+		if q.len() != len(ref) {
+			t.Fatalf("round %d: len %d, want %d", round, q.len(), len(ref))
+		}
+		for i, want := range ref {
+			if got := q.at(i).readyAt; got != want {
+				t.Fatalf("round %d: at(%d) = %d, want %d", round, i, got, want)
+			}
+		}
+		for q.len() > 1 {
+			if got := q.pop().readyAt; got != ref[0] {
+				t.Fatalf("round %d: pop %d, want %d", round, got, ref[0])
+			}
+			ref = ref[1:]
+		}
+	}
+	for q.len() < capacity {
+		q.push(feEntry{readyAt: next})
+		next++
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("push into a full queue did not panic")
+		}
+	}()
+	q.push(feEntry{})
+}
+
+func TestFeQueueAllocFree(t *testing.T) {
+	q := newFeQueue(3)
+	allocs := testing.AllocsPerRun(1000, func() {
+		q.push(feEntry{readyAt: 1})
+		q.push(feEntry{readyAt: 2})
+		q.pop()
+		q.pop()
+	})
+	if allocs != 0 {
+		t.Fatalf("push/pop allocate %.1f times per run, want 0", allocs)
 	}
 }

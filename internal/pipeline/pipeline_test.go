@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/isa"
@@ -446,6 +447,34 @@ func TestCommitHookSeesProgramOrder(t *testing.T) {
 			if got[i] != want[i] {
 				t.Fatalf("%v: commit %d: pc %#x, trace has %#x", pol, i, got[i], want[i])
 			}
+		}
+	}
+}
+
+// TestRunHeapFlatInBudget requires the heap CPU.Run allocates to stay
+// nearly flat as the instruction budget grows 16-fold: per-cycle state
+// (the front-end ring, replay queues, event heap) is sized by the
+// machine, not by how long it runs.
+func TestRunHeapFlatInBudget(t *testing.T) {
+	const maxGrowth = 128 << 10
+	runAlloc := func(mixName string, budget uint64) uint64 {
+		c, err := New(DefaultConfig(4, rob.DefaultConfig(4, rob.Reactive, 16)), mixSources(t, mixName, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := c.Run(budget); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	for _, mix := range []string{"Mix 1", "Mix 10"} {
+		short, long := runAlloc(mix, 5_000), runAlloc(mix, 80_000)
+		t.Logf("%s: Run allocates %d B at 5k, %d B at 80k", mix, short, long)
+		if long > short+maxGrowth {
+			t.Errorf("%s: Run's heap grows %d B from a 5k to an 80k budget, want under %d", mix, long-short, maxGrowth)
 		}
 	}
 }

@@ -10,36 +10,55 @@ import (
 	"repro/internal/uop"
 )
 
-// ---- front-end queue helpers (slice-as-ring with a head index) ----
+// ---- front-end queue: a fixed ring of FrontEndBuf entries ----
 
+// feQueue holds one thread's fetched, not yet dispatched instructions in
+// a ring allocated once by newFeQueue. Fetch never pushes past the
+// front-end buffer size, so the ring never grows.
 type feQueue struct {
 	buf  []feEntry
-	head int
+	head int // index of the oldest entry
+	n    int // live entries
 }
 
-func (q *feQueue) len() int { return len(q.buf) - q.head }
+func newFeQueue(capacity int) feQueue { return feQueue{buf: make([]feEntry, capacity)} }
 
-func (q *feQueue) push(e feEntry) { q.buf = append(q.buf, e) }
+func (q *feQueue) len() int { return q.n }
+
+// wrap maps head+i, for i < 2*len(buf), to a ring index.
+func (q *feQueue) wrap(i int) int {
+	if i >= len(q.buf) {
+		i -= len(q.buf)
+	}
+	return i
+}
+
+//tlrob:allocfree
+func (q *feQueue) push(e feEntry) {
+	if q.n == len(q.buf) {
+		panic("pipeline: front-end queue overflow")
+	}
+	q.buf[q.wrap(q.head+q.n)] = e
+	q.n++
+}
 
 func (q *feQueue) peek() *feEntry { return &q.buf[q.head] }
 
+//tlrob:allocfree
 func (q *feQueue) pop() feEntry {
 	e := q.buf[q.head]
-	q.head++
-	if q.head == len(q.buf) {
-		q.buf = q.buf[:0]
-		q.head = 0
-	}
+	q.head = q.wrap(q.head + 1)
+	q.n--
 	return e
 }
 
 func (q *feQueue) clear() {
-	q.buf = q.buf[:0]
 	q.head = 0
+	q.n = 0
 }
 
-// entries returns the live entries oldest-first (read-only use).
-func (q *feQueue) entries() []feEntry { return q.buf[q.head:] }
+// at returns the i-th live entry, oldest first.
+func (q *feQueue) at(i int) *feEntry { return &q.buf[q.wrap(q.head+i)] }
 
 // ---- replay queue ----
 
@@ -708,8 +727,8 @@ func (c *CPU) squash(tid int, targetSeq uint64) {
 		merged = append(merged, replayRev[i])
 	}
 	fePrepended := 0
-	for i := range th.fq.entries() {
-		e := &th.fq.entries()[i]
+	for i := 0; i < th.fq.len(); i++ {
+		e := th.fq.at(i)
 		if e.wrongPath {
 			continue
 		}

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/isa"
 	"repro/internal/rng"
@@ -35,10 +36,6 @@ func NewGenerator(prof Profile, seed uint64) (*Generator, error) {
 }
 
 func newGenerator(prof Profile, seed uint64) *Generator {
-	// The static program depends only on the benchmark name — the same
-	// "binary" is used wherever the benchmark appears — while dynamic
-	// outcomes (branch draws, random addresses) vary with seed.
-	progR := rng.New(hashName(prof.Name))
 	// Distinct 4 GiB regions per seed keep threads' address spaces
 	// disjoint, and low-bit salt scatters each region across cache sets —
 	// page-aligned bases would put every thread in the same few sets and
@@ -46,7 +43,7 @@ func newGenerator(prof Profile, seed uint64) *Generator {
 	salt := (seed + 1) * 0x9e3779b97f4a7c15
 	g := &Generator{
 		prof:      prof,
-		prog:      synthesize(&prof, progR),
+		prog:      programFor(&prof),
 		r:         rng.New(seed*0x9e3779b97f4a7c15 + 2),
 		codeBase:  (seed&0xffff|0x1_0000)<<32 + salt&0x3f_ffc0,
 		dataBase:  (seed&0xffff|0x8_0000)<<32 + (salt>>20)&0x3fff_ff80,
@@ -61,6 +58,31 @@ func newGenerator(prof Profile, seed uint64) *Generator {
 	}
 	return g
 }
+
+// programFor returns prof's static program. The program depends only on
+// the profile — its RNG is seeded from the benchmark name, so the same
+// "binary" is used wherever the benchmark appears — while dynamic
+// outcomes (branch draws, random addresses) vary with seed. Generators
+// only read it, so every generator of an unmodified table profile shares
+// one program, built on first use; any other profile gets its own.
+func programFor(prof *Profile) *program {
+	if table, ok := profiles[prof.Name]; ok && table == *prof {
+		return tablePrograms[prof.Name]()
+	}
+	return synthesize(prof, rng.New(hashName(prof.Name)))
+}
+
+// tablePrograms builds each profile-table entry's program once per
+// process. It is bounded by the table and never evicts.
+var tablePrograms = func() map[string]func() *program {
+	m := make(map[string]func() *program, len(profiles))
+	for name, p := range profiles {
+		m[name] = sync.OnceValue(func() *program {
+			return synthesize(&p, rng.New(hashName(p.Name)))
+		})
+	}
+	return m
+}()
 
 // MustNewGenerator is NewGenerator but panics on an invalid profile; for
 // use with the package's own vetted profile table.

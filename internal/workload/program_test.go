@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/isa"
@@ -149,6 +151,79 @@ func TestSynthesisDeterministic(t *testing.T) {
 	for i := range a.insts {
 		if a.insts[i] != b.insts[i] {
 			t.Fatalf("instruction %d differs", i)
+		}
+	}
+}
+
+func TestTableProfileSharesProgram(t *testing.T) {
+	prof, _ := ProfileFor("mcf")
+	a := MustNewGenerator(prof, 1)
+	b := MustNewGenerator(prof, 2)
+	if a.prog != b.prog {
+		t.Fatal("two generators of one table profile built separate programs")
+	}
+	// The shared program is the one the profile would synthesize afresh.
+	if want := synthesize(&prof, rng.New(hashName(prof.Name))); !reflect.DeepEqual(a.prog, want) {
+		t.Fatal("shared program differs from a fresh synthesis")
+	}
+}
+
+func TestModifiedProfileGetsOwnProgram(t *testing.T) {
+	prof, _ := ProfileFor("mcf")
+	mod := prof
+	mod.Blocks++
+	table := MustNewGenerator(prof, 1)
+	own := MustNewGenerator(mod, 1)
+	if own.prog == table.prog {
+		t.Fatal("a modified copy of a table profile shares the table's program")
+	}
+	if len(own.prog.blockStart) != mod.Blocks {
+		t.Fatalf("modified profile's program has %d blocks, want %d", len(own.prog.blockStart), mod.Blocks)
+	}
+	var x, y isa.TraceInst
+	same := true
+	for i := 0; i < 1000 && same; i++ {
+		table.Next(&x)
+		own.Next(&y)
+		same = x == y
+	}
+	if same {
+		t.Fatal("a modified profile replays the table profile's stream")
+	}
+}
+
+// TestConcurrentNewGenerator builds generators for every table profile
+// from many goroutines at once (run it under -race): all generators of a
+// profile get one program.
+func TestConcurrentNewGenerator(t *testing.T) {
+	names := Names()
+	const workers = 8
+	progs := make([][]*program, workers)
+	var wg sync.WaitGroup
+	for w := range progs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, name := range names {
+				prof, _ := ProfileFor(name)
+				g, err := NewGenerator(prof, uint64(w))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				progs[w] = append(progs[w], g.prog)
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	for w := 1; w < workers; w++ {
+		for i, name := range names {
+			if progs[w][i] != progs[0][i] {
+				t.Fatalf("%s: goroutines %d and 0 got different programs", name, w)
+			}
 		}
 	}
 }

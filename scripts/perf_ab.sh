@@ -10,19 +10,23 @@
 #   bash scripts/perf_ab.sh <base-commit>
 #
 # Fails if any run is not "correct":true with "failed":0 (every cell
-# matches that side's perfbench/golden.json), or if on either workload
-# the median over pairs of sim_kips(change) / sim_kips(base) is below
-# BOUND. Writes the per-pair table to perf_ab.tsv in the current
-# directory, with each run's set-up time (setup_s: the single-thread
-# reference runs) beside its sim_kips, and prints the median setup_s
-# ratio per workload. The setup_s columns are reported only; they never
-# fail the gate.
+# matches that side's perfbench/golden.json), or if on either simulator
+# workload the median over pairs of sim_kips(change) / sim_kips(base) is
+# below BOUND. The fleet-zipf workload (a closed loop through a
+# coordinator and two simd workers, where only cache misses simulate)
+# runs the same interleaved pairs after them, report only. Writes the
+# per-pair table to perf_ab.tsv in the current directory: each run's
+# sim_kips, set-up time (setup_s: the single-thread reference runs), rps
+# and p50_ms. Prints the median sim_kips ratio per workload, and the
+# median setup_s ratio, plus rps and p50_ms ratios for fleet-zipf. Only
+# the simulator workloads' sim_kips ratios can fail the gate.
 set -euo pipefail
 
 readonly PAIRS=8
 readonly RUN_SECONDS=3
 readonly BOUND=0.90
 readonly WORKLOADS=(sim-membound sim-busy)
+readonly REPORT_WORKLOADS=(fleet-zipf)
 readonly TABLE=perf_ab.tsv
 
 base=${1:?usage: perf_ab.sh <base-commit>}
@@ -40,9 +44,9 @@ git -C "$root" worktree add --quiet --detach "$tmp/base-src" "$base"
 mkdir -p "$tmp/base" "$tmp/change"
 declare -A script=([base]="$tmp/base-src/perfbench/run.sh" [change]="$root/perfbench/run.sh")
 
-# run SIDE WORKLOAD SEED prints the run's sim_kips and setup_s separated
-# by a tab, or fails with the run's output when it errored or was not
-# correct.
+# run SIDE WORKLOAD SEED prints the run's sim_kips, setup_s, rps and
+# p50_ms separated by tabs, or fails with the run's output when it
+# errored or was not correct.
 run() {
   local side=$1 w=$2 seed=$3 line
   if ! line=$(cd "$tmp/$side" && bash "${script[$side]}" --workload "$w" --seed "$seed" \
@@ -55,7 +59,7 @@ run() {
     echo "perf_ab: $side $w seed $seed: want \"correct\":true and \"failed\":0, got: $line" >&2
     return 1
   fi
-  jq -r '"\(.metrics.sim_kips.value)\t\(.metrics.setup_s.value)"' <<<"$line"
+  jq -r '[.metrics.sim_kips, .metrics.setup_s, .metrics.rps, .metrics.p50_ms] | map(.value) | @tsv' <<<"$line"
 }
 
 # median_of prints the median of its arguments.
@@ -63,11 +67,18 @@ median_of() {
   printf '%s\n' "$@" | jq -s 'sort | (.[(length - 1) / 2 | floor] + .[length / 2 | floor]) / 2'
 }
 
-printf 'workload\tseed\tfirst\tbase_kips\tchange_kips\tratio\tbase_setup_s\tchange_setup_s\n' >"$TABLE"
+# ratio_of NUMERATOR DENOMINATOR prints their quotient.
+ratio_of() {
+  jq -n "$1 / $2"
+}
+
+printf 'workload\tseed\tfirst\tbase_kips\tchange_kips\tratio\tbase_setup_s\tchange_setup_s\tbase_rps\tchange_rps\tbase_p50_ms\tchange_p50_ms\n' >"$TABLE"
 status=0
-for w in "${WORKLOADS[@]}"; do
+for w in "${WORKLOADS[@]}" "${REPORT_WORKLOADS[@]}"; do
   ratios=()
   setup_ratios=()
+  rps_ratios=()
+  p50_ratios=()
   for ((seed = 1; seed <= PAIRS; seed++)); do
     if ((seed % 2)); then
       first=base
@@ -78,16 +89,23 @@ for w in "${WORKLOADS[@]}"; do
       change_out=$(run change "$w" "$seed")
       base_out=$(run base "$w" "$seed")
     fi
-    read -r b bs <<<"$base_out"
-    read -r c cs <<<"$change_out"
-    r=$(jq -n "$c / $b")
+    read -r b bs brps bp50 <<<"$base_out"
+    read -r c cs crps cp50 <<<"$change_out"
+    r=$(ratio_of "$c" "$b")
     ratios+=("$r")
-    setup_ratios+=("$(jq -n "$cs / $bs")")
-    printf '%s\t%d\t%s\t%s\t%s\t%.4f\t%s\t%s\n' "$w" "$seed" "$first" "$b" "$c" "$r" "$bs" "$cs" | tee -a "$TABLE"
+    setup_ratios+=("$(ratio_of "$cs" "$bs")")
+    rps_ratios+=("$(ratio_of "$crps" "$brps")")
+    p50_ratios+=("$(ratio_of "$cp50" "$bp50")")
+    printf '%s\t%d\t%s\t%s\t%s\t%.4f\t%s\t%s\t%s\t%s\t%s\t%s\n' "$w" "$seed" "$first" "$b" "$c" "$r" "$bs" "$cs" \
+      "$brps" "$crps" "$bp50" "$cp50" | tee -a "$TABLE"
   done
   printf 'perf_ab: %s: median setup_s ratio %.4f (report only)\n' "$w" "$(median_of "${setup_ratios[@]}")"
   median=$(median_of "${ratios[@]}")
-  if jq -e -n "$median < $BOUND" >/dev/null; then
+  if [[ " ${REPORT_WORKLOADS[*]} " == *" $w "* ]]; then
+    printf 'perf_ab: %s: median rps ratio %.4f, p50_ms ratio %.4f (report only)\n' "$w" \
+      "$(median_of "${rps_ratios[@]}")" "$(median_of "${p50_ratios[@]}")"
+    printf 'perf_ab: %s: median sim_kips ratio %.4f (report only)\n' "$w" "$median"
+  elif jq -e -n "$median < $BOUND" >/dev/null; then
     printf 'perf_ab: %s: median sim_kips ratio %.4f is below %.2f\n' "$w" "$median" "$BOUND" >&2
     status=1
   else
