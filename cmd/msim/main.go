@@ -18,27 +18,9 @@ import (
 	"strings"
 
 	"repro"
+	"repro/internal/experiments"
 	"repro/internal/policy"
-	"repro/internal/rob"
 )
-
-func parseScheme(s string) (rob.Scheme, error) {
-	switch s {
-	case "baseline":
-		return tlrob.Baseline, nil
-	case "reactive", "r-rob":
-		return tlrob.Reactive, nil
-	case "relaxed", "relaxed-reactive":
-		return tlrob.RelaxedReactive, nil
-	case "cdr", "count-delayed":
-		return tlrob.CountDelayed, nil
-	case "predictive", "p-rob":
-		return tlrob.Predictive, nil
-	case "shared", "shared-single":
-		return tlrob.SharedSingle, nil
-	}
-	return 0, fmt.Errorf("unknown scheme %q", s)
-}
 
 func main() {
 	var (
@@ -46,10 +28,10 @@ func main() {
 		benches   = flag.String("benches", "", "comma-separated benchmark list (alternative to -mix)")
 		single    = flag.String("single", "", "run one benchmark single-threaded")
 		traces    = flag.String("traces", "", "comma-separated binary trace files, one per thread")
-		scheme    = flag.String("scheme", "baseline", "baseline | reactive | relaxed | cdr | predictive")
-		threshold = flag.Int("threshold", 16, "DoD threshold")
-		l1rob     = flag.Int("l1rob", 32, "per-thread first-level ROB entries")
-		l2rob     = flag.Int("l2rob", 384, "shared second-level ROB entries")
+		scheme    = flag.String("scheme", "baseline", "ROB scheme, as cmd/experiments and simd name it: baseline | baseline128 | rrob (reactive, r-rob) | relaxed-rrob (relaxed, relaxed-reactive) | cdr-rrob (cdr, count-delayed) | prob (predictive, p-rob) | shared (shared-single)")
+		threshold = flag.Int("threshold", 0, "DoD threshold; 0 = the scheme's default (rrob 16, relaxed/cdr 15, prob 5)")
+		l1rob     = flag.Int("l1rob", 0, "per-thread first-level ROB entries; 0 = the scheme's (32; 128 for baseline128)")
+		l2rob     = flag.Int("l2rob", 0, "shared second-level ROB entries of a two-level scheme; 0 = 384")
 		polName   = flag.String("policy", "dcra", "fetch policy: icount | dcra | stall | flush | mlp")
 		budget    = flag.Uint64("budget", 200_000, "per-thread instruction budget")
 		seed      = flag.Uint64("seed", 1, "workload seed")
@@ -59,24 +41,21 @@ func main() {
 	)
 	flag.Parse()
 
-	sch, err := parseScheme(*scheme)
+	spec, err := experiments.SchemeByName(*scheme, *threshold)
 	fatal(err)
 	pol, err := policy.ParseKind(*polName)
 	fatal(err)
 
-	opt := tlrob.Options{
-		EarlyRegRelease: *early,
-		Scheme:          sch,
-		DoDThreshold:    *threshold,
-		L1ROB:           *l1rob,
-		L2ROB:           *l2rob,
-		Policy:          pol,
-		Budget:          *budget,
-		Seed:            *seed,
+	opt := spec.Opt
+	opt.EarlyRegRelease = *early
+	opt.Policy = pol
+	opt.Budget = *budget
+	opt.Seed = *seed
+	if *l1rob > 0 {
+		opt.L1ROB = *l1rob
 	}
-	if sch == tlrob.Baseline || sch == tlrob.SharedSingle {
-		opt.L2ROB = 0
-		opt.DoDThreshold = 0
+	if *l2rob > 0 && opt.Scheme != tlrob.Baseline && opt.Scheme != tlrob.SharedSingle {
+		opt.L2ROB = *l2rob
 	}
 
 	switch {

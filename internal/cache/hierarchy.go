@@ -95,6 +95,18 @@ func NewHierarchy(cfg HierConfig) (*Hierarchy, error) {
 	return h, nil
 }
 
+// Reset returns the hierarchy to the state NewHierarchy leaves: empty
+// caches, no outstanding misses, an idle bus and zero statistics. Its
+// cost does not depend on the cache sizes (see Cache.Reset).
+func (h *Hierarchy) Reset() {
+	h.L1I.Reset()
+	h.L1D.Reset()
+	h.L2.Reset()
+	h.mshrs = h.mshrs[:0]
+	h.busFreeAt = 0
+	h.stats = HierStats{}
+}
+
 // Config returns the hierarchy configuration.
 func (h *Hierarchy) Config() HierConfig { return h.cfg }
 

@@ -211,3 +211,43 @@ func TestPrewarmCapsAtCapacity(t *testing.T) {
 		t.Fatal("leading line of big region not resident")
 	}
 }
+
+// TestHierarchyResetMatchesNew: a hierarchy Reset after use answers a
+// workload exactly as a new one does, with the bus contended and the
+// MSHR file small enough to fill, so leftover bus, MSHR or cache state
+// would show.
+func TestHierarchyResetMatchesNew(t *testing.T) {
+	cfg := DefaultHierConfig()
+	cfg.BusContention = true
+	cfg.MSHRs = 4
+	workload := func(h *Hierarchy) (out []AccessResult) {
+		h.Prewarm(0x40_0000, 3<<20, false)
+		h.Prewarm(0x90_0000, 16<<10, true)
+		for i := uint64(0); i < 64; i++ {
+			now := int64(i * 3)
+			out = append(out, h.Load(0x40_0000+i*4096+i*i*128, now), h.Fetch(0x90_0000+i*64, now))
+			h.StoreCommit(0x100_0000 + i*256)
+		}
+		return out
+	}
+	used, err := NewHierarchy(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	workload(used)
+	used.Reset()
+	fresh, err := NewHierarchy(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, got := workload(fresh), workload(used)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("access %d after Reset: %+v, on a new hierarchy %+v", i, got[i], want[i])
+		}
+	}
+	if used.Stats() != fresh.Stats() || used.L1I.Stats() != fresh.L1I.Stats() ||
+		used.L1D.Stats() != fresh.L1D.Stats() || used.L2.Stats() != fresh.L2.Stats() {
+		t.Fatalf("stats after Reset differ from a new hierarchy's")
+	}
+}

@@ -88,12 +88,13 @@ func PROB(threshold int) SchemeSpec {
 	}
 }
 
-// SchemeByName resolves a scheme label (as accepted by cmd/experiments
-// and the simd job API) to its SchemeSpec. threshold overrides the
-// scheme's default DoD threshold when > 0; schemes without a threshold
-// ignore it. Recognised names, case-insensitively: baseline/baseline32,
-// baseline128, rrob, relaxed-rrob/relaxed, cdr-rrob/cdr, prob,
-// shared128/shared.
+// SchemeByName resolves a scheme label (as accepted by cmd/experiments,
+// cmd/msim and the simd job API) to its SchemeSpec. threshold overrides
+// the scheme's default DoD threshold when > 0; schemes without a
+// threshold ignore it. Recognised names, case-insensitively:
+// baseline/baseline32, baseline128, rrob/reactive/r-rob,
+// relaxed-rrob/relaxed/relaxed-reactive, cdr-rrob/cdr/count-delayed,
+// prob/predictive/p-rob, shared128/shared/shared-single.
 func SchemeByName(name string, threshold int) (SchemeSpec, error) {
 	th := func(def int) int {
 		if threshold > 0 {
@@ -106,15 +107,15 @@ func SchemeByName(name string, threshold int) (SchemeSpec, error) {
 		return Baseline32(), nil
 	case "baseline128":
 		return Baseline128(), nil
-	case "rrob":
+	case "rrob", "reactive", "r-rob":
 		return RROB(th(16)), nil
-	case "relaxed-rrob", "relaxed":
+	case "relaxed-rrob", "relaxed", "relaxed-reactive":
 		return RelaxedRROB(th(15)), nil
-	case "cdr-rrob", "cdr":
+	case "cdr-rrob", "cdr", "count-delayed":
 		return CDRROB(th(15)), nil
-	case "prob":
+	case "prob", "predictive", "p-rob":
 		return PROB(th(5)), nil
-	case "shared128", "shared":
+	case "shared128", "shared", "shared-single":
 		return SchemeSpec{
 			Label: "Shared_128",
 			Opt:   tlrob.Options{Scheme: tlrob.SharedSingle, L1ROB: 32},

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro"
 	"repro/internal/workload"
 )
 
@@ -199,5 +200,43 @@ func TestRunMixesSubset(t *testing.T) {
 	}
 	if s.AvgFT != s.Rows[0].FairThroughput {
 		t.Fatalf("avg %v != row %v", s.AvgFT, s.Rows[0].FairThroughput)
+	}
+}
+
+// TestSchemeByNameMsimSpellings: every spelling cmd/msim accepted before
+// it shared this table resolves to the rob.Scheme msim gave it, and to
+// the same SchemeSpec as the table's own name for that scheme.
+func TestSchemeByNameMsimSpellings(t *testing.T) {
+	for _, tc := range []struct {
+		msim, canonical string
+		want            tlrob.Scheme
+	}{
+		{"baseline", "baseline", tlrob.Baseline},
+		{"reactive", "rrob", tlrob.Reactive},
+		{"r-rob", "rrob", tlrob.Reactive},
+		{"relaxed", "relaxed-rrob", tlrob.RelaxedReactive},
+		{"relaxed-reactive", "relaxed-rrob", tlrob.RelaxedReactive},
+		{"cdr", "cdr-rrob", tlrob.CountDelayed},
+		{"count-delayed", "cdr-rrob", tlrob.CountDelayed},
+		{"predictive", "prob", tlrob.Predictive},
+		{"p-rob", "prob", tlrob.Predictive},
+		{"shared", "shared128", tlrob.SharedSingle},
+		{"shared-single", "shared128", tlrob.SharedSingle},
+	} {
+		for _, threshold := range []int{0, 7} {
+			got, err := SchemeByName(tc.msim, threshold)
+			if err != nil {
+				t.Fatalf("%q: %v", tc.msim, err)
+			}
+			if got.Opt.Scheme != tc.want {
+				t.Errorf("%q resolves to %v, msim gave %v", tc.msim, got.Opt.Scheme, tc.want)
+			}
+			if want, _ := SchemeByName(tc.canonical, threshold); got != want {
+				t.Errorf("%q (threshold %d) resolves to %+v, %q to %+v", tc.msim, threshold, got, tc.canonical, want)
+			}
+		}
+	}
+	if _, err := SchemeByName("no-such-scheme", 0); err == nil {
+		t.Error("unknown scheme accepted")
 	}
 }

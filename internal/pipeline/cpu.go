@@ -191,8 +191,17 @@ type CPU struct {
 	telState *telemetry.CycleState
 }
 
-// New builds a CPU; sources must supply cfg.Threads trace streams.
+// New builds a CPU; sources must supply cfg.Threads trace streams. Its
+// memory hierarchy comes from the machine pool when a machine of the
+// same geometry was released (see Release); the run is bit-identical
+// either way.
 func New(cfg Config, sources []TraceSource) (*CPU, error) {
+	return newCPU(cfg, sources, takeHierarchy)
+}
+
+// newCPU is New with the hierarchy taken from hier: takeHierarchy, or
+// cache.NewHierarchy for a machine that bypasses the pool.
+func newCPU(cfg Config, sources []TraceSource, hier func(cache.HierConfig) (*cache.Hierarchy, error)) (*CPU, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -217,7 +226,7 @@ func New(cfg Config, sources []TraceSource) (*CPU, error) {
 		c.early = regfile.NewEarlyReleaser(c.rf, cfg.Threads)
 	}
 	c.fus = fu.New()
-	if c.hier, err = cache.NewHierarchy(cfg.Hier); err != nil {
+	if c.hier, err = hier(cfg.Hier); err != nil {
 		return nil, err
 	}
 	if c.gshare, err = predictor.NewGShare(cfg.GShareEntries, cfg.GShareHistBits, cfg.Threads); err != nil {

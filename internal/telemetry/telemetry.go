@@ -1,7 +1,8 @@
 // Package telemetry is the simulator's observability layer: cycle-level
 // stall attribution, structural occupancy tracing and second-level grant
-// lifetimes, recorded into preallocated ring buffers so the enabled path
-// never allocates per cycle. The pipeline drives a Collector with one
+// lifetimes, recorded into ring buffers that grow on demand up to their
+// caps, so the enabled path allocates only when a ring doubles — a few
+// times per run, never per cycle. The pipeline drives a Collector with one
 // RecordCycle call per simulated cycle; when telemetry is disabled the
 // pipeline holds a nil Collector and skips every call behind a nil
 // check, so the disabled path costs one predictable branch per cycle.
@@ -93,12 +94,13 @@ type Config struct {
 	// (default 64). Stall attribution is exact regardless: it is
 	// accumulated every cycle, not sampled.
 	SampleInterval int64
-	// SampleCap bounds the occupancy ring (default 1<<14 samples).
-	// When full, the oldest samples are overwritten and counted in
+	// SampleCap bounds the occupancy ring (default 1<<14 samples). The
+	// ring's storage grows on demand, doubling, up to this cap. When
+	// full, the oldest samples are overwritten and counted in
 	// Summary.SamplesDropped — truncation is reported, never silent.
 	SampleCap int
 	// GrantCap bounds the grant-interval ring (default 4096), with the
-	// same oldest-overwritten-and-counted policy.
+	// same on-demand growth and oldest-overwritten-and-counted policy.
 	GrantCap int
 }
 
@@ -168,9 +170,11 @@ type GrantInterval struct {
 }
 
 // Collector accumulates one run's telemetry. Not safe for concurrent
-// use: exactly one simulated CPU drives it. All per-cycle state is
-// preallocated at construction; RecordCycle and the grant hooks never
-// allocate.
+// use: exactly one simulated CPU drives it. The counters are allocated
+// at construction. The sample and grant rings start empty and grow on
+// demand, doubling, up to SampleCap and GrantCap, so a short run pays
+// only for what it records; RecordCycle and the grant hooks allocate
+// only when a ring grows.
 type Collector struct {
 	cfg     Config
 	threads int
@@ -186,17 +190,15 @@ type Collector struct {
 	intRegSum uint64
 	fpRegSum  uint64
 
-	// Occupancy samples: struct-of-arrays ring, one row per sample.
+	// Occupancy samples: a ring of rows. Its head moves only once it is
+	// full at SampleCap, so until then row i is the i-th sample.
 	nextSampleAt int64
 	sHead, sLen  int
 	sDropped     uint64
-	sCycle       []int64
-	sIQ          []int32
-	sInt, sFP    []int32
-	sOwner       []int8
-	sROB         []int32 // SampleCap*threads, row-major
+	samples      []sampleRow // storage: len(samples) rows
+	sROB         []int32     // len(samples)*threads, row-major
 
-	// Grant intervals.
+	// Grant intervals: a ring like the samples', capped at GrantCap.
 	gHead, gLen int
 	gDropped    uint64
 	grants      []GrantInterval
@@ -206,6 +208,21 @@ type Collector struct {
 	piggybacks  uint64
 	heldCycles  uint64 // closed-tenancy cycles
 }
+
+// sampleRow is one occupancy sample's shared-structure columns; the
+// per-thread ROB occupancies live in Collector.sROB.
+type sampleRow struct {
+	cycle           int64
+	iq, intRegs, fp int32
+	owner           int8
+}
+
+// First storage sizes of the on-demand rings: enough for a
+// few-thousand-instruction run without growing again.
+const (
+	firstSampleRows = 256
+	firstGrantRows  = 64
+)
 
 // NewCollector builds a collector; threads must be positive.
 func NewCollector(threads int, cfg Config) *Collector {
@@ -221,13 +238,6 @@ func NewCollector(threads int, cfg Config) *Collector {
 		stalls:       make([]uint64, threads*int(NumCauses)),
 		robOccSum:    make([]uint64, threads),
 		nextSampleAt: 0,
-		sCycle:       make([]int64, cfg.SampleCap),
-		sIQ:          make([]int32, cfg.SampleCap),
-		sInt:         make([]int32, cfg.SampleCap),
-		sFP:          make([]int32, cfg.SampleCap),
-		sOwner:       make([]int8, cfg.SampleCap),
-		sROB:         make([]int32, cfg.SampleCap*threads),
-		grants:       make([]GrantInterval, cfg.GrantCap),
 	}
 	return c
 }
@@ -240,7 +250,7 @@ func (c *Collector) Cycles() int64 { return c.cycles }
 
 // RecordCycle charges one simulated cycle: dispatch outcome per thread,
 // occupancy accumulation, and (on sample cycles) one ring-buffer sample.
-// It never allocates.
+// It allocates only when the sample ring grows (see growSamples).
 //
 //tlrob:allocfree
 func (c *Collector) RecordCycle(now int64, st *CycleState) {
@@ -274,7 +284,8 @@ func (c *Collector) RecordCycle(now int64, st *CycleState) {
 // span length. Samples that fall inside the span are emitted at exactly
 // the cycles the per-cycle path would have picked, so occupancy traces
 // are bit-identical whichever path recorded the span. The active+stalls
-// == cycles invariant is preserved cause-by-cause. It never allocates.
+// == cycles invariant is preserved cause-by-cause. Like RecordCycle, it
+// allocates only when the sample ring grows.
 //
 //tlrob:allocfree
 func (c *Collector) RecordIdleSpan(from, to int64, st *CycleState) {
@@ -306,21 +317,31 @@ func (c *Collector) RecordIdleSpan(from, to int64, st *CycleState) {
 
 //tlrob:allocfree
 func (c *Collector) sample(now int64, st *CycleState) {
-	var pos int
+	pos := c.sLen
 	if c.sLen < c.cfg.SampleCap {
-		pos = (c.sHead + c.sLen) % c.cfg.SampleCap
+		if c.sLen == len(c.samples) {
+			c.growSamples()
+		}
 		c.sLen++
 	} else {
 		pos = c.sHead
 		c.sHead = (c.sHead + 1) % c.cfg.SampleCap
 		c.sDropped++
 	}
-	c.sCycle[pos] = now
-	c.sIQ[pos] = st.IQLen
-	c.sInt[pos] = st.IntRegs
-	c.sFP[pos] = st.FPRegs
-	c.sOwner[pos] = st.Owner
+	c.samples[pos] = sampleRow{cycle: now, iq: st.IQLen, intRegs: st.IntRegs, fp: st.FPRegs, owner: st.Owner}
 	copy(c.sROB[pos*c.threads:(pos+1)*c.threads], st.ROBLen)
+}
+
+// growSamples doubles the sample ring's storage, up to SampleCap. The
+// ring has not wrapped yet, so its rows copy over in place.
+func (c *Collector) growSamples() {
+	n := min(max(2*len(c.samples), firstSampleRows), c.cfg.SampleCap)
+	rows := make([]sampleRow, n)
+	copy(rows, c.samples)
+	c.samples = rows
+	rob := make([]int32, n*c.threads)
+	copy(rob, c.sROB)
+	c.sROB = rob
 }
 
 // Samples returns the retained occupancy samples oldest-first. The
@@ -329,8 +350,8 @@ func (c *Collector) sample(now int64, st *CycleState) {
 func (c *Collector) Samples(visit func(cycle int64, rob []int32, iq, intRegs, fpRegs int32, owner int8)) {
 	for i := 0; i < c.sLen; i++ {
 		pos := (c.sHead + i) % c.cfg.SampleCap
-		visit(c.sCycle[pos], c.sROB[pos*c.threads:(pos+1)*c.threads],
-			c.sIQ[pos], c.sInt[pos], c.sFP[pos], c.sOwner[pos])
+		r := &c.samples[pos]
+		visit(r.cycle, c.sROB[pos*c.threads:(pos+1)*c.threads], r.iq, r.intRegs, r.fp, r.owner)
 	}
 }
 
@@ -372,9 +393,11 @@ func (c *Collector) GrantReleased(tid int, now int64) {
 	}
 	c.open.End = now
 	c.heldCycles += uint64(now - c.open.Start)
-	var pos int
+	pos := c.gLen
 	if c.gLen < c.cfg.GrantCap {
-		pos = (c.gHead + c.gLen) % c.cfg.GrantCap
+		if c.gLen == len(c.grants) {
+			c.growGrants()
+		}
 		c.gLen++
 	} else {
 		pos = c.gHead
@@ -383,6 +406,14 @@ func (c *Collector) GrantReleased(tid int, now int64) {
 	}
 	c.grants[pos] = c.open
 	c.openActive = false
+}
+
+// growGrants doubles the grant ring's storage, up to GrantCap, as
+// growSamples does the sample ring's.
+func (c *Collector) growGrants() {
+	grants := make([]GrantInterval, min(max(2*len(c.grants), firstGrantRows), c.cfg.GrantCap))
+	copy(grants, c.grants)
+	c.grants = grants
 }
 
 // Grants returns the retained tenancy intervals oldest-first. The slice

@@ -117,6 +117,59 @@ func TestSampleRingOverflow(t *testing.T) {
 	}
 }
 
+// TestRingsGrowOnDemand: the sample and grant rings start empty, grow
+// only as far as a run records (never past their caps, which need not
+// be a power of two), and keep the newest entries in order once they
+// wrap.
+func TestRingsGrowOnDemand(t *testing.T) {
+	const sampleCap, grantCap = 1000, 100
+	c := NewCollector(2, Config{SampleInterval: 1, SampleCap: sampleCap, GrantCap: grantCap})
+	if len(c.samples) != 0 || len(c.grants) != 0 {
+		t.Fatalf("new collector holds %d sample and %d grant rows, want none", len(c.samples), len(c.grants))
+	}
+	st := NewCycleState(2)
+	record := func(from, to int64) {
+		for now := from; now < to; now++ {
+			st.Reset()
+			st.Dispatched[0], st.Dispatched[1] = 1, 1
+			st.ROBLen[0], st.ROBLen[1] = int32(now), int32(-now)
+			st.Owner = -1
+			c.RecordCycle(now, st)
+			c.GrantAcquired(int(now%2), uint64(now), now)
+			c.GrantReleased(int(now%2), now+1)
+		}
+	}
+	record(0, 10)
+	if len(c.samples) != firstSampleRows || len(c.grants) != firstGrantRows {
+		t.Fatalf("after 10 cycles: %d sample and %d grant rows, want %d and %d",
+			len(c.samples), len(c.grants), firstSampleRows, firstGrantRows)
+	}
+	record(10, 2600)
+	if len(c.samples) != sampleCap || len(c.grants) != grantCap {
+		t.Fatalf("after 2600 cycles: %d sample and %d grant rows, want the caps %d and %d",
+			len(c.samples), len(c.grants), sampleCap, grantCap)
+	}
+	next := int64(2600 - sampleCap)
+	c.Samples(func(cycle int64, rob []int32, iq, ir, fr int32, owner int8) {
+		if cycle != next || rob[0] != int32(cycle) || rob[1] != int32(-cycle) {
+			t.Fatalf("sample %d: cycle %d rob %v", next, cycle, rob)
+		}
+		next++
+	})
+	nextGrant := int64(2600 - grantCap)
+	c.Grants(func(g GrantInterval) {
+		if g.Start != nextGrant || g.End != nextGrant+1 {
+			t.Fatalf("grant %d: %+v", nextGrant, g)
+		}
+		nextGrant++
+	})
+	s := c.Summary()
+	if next != 2600 || nextGrant != 2600 || s.Samples != sampleCap ||
+		s.SamplesDropped != 2600-sampleCap || s.GrantsDropped != 2600-grantCap {
+		t.Fatalf("retained up to sample %d and grant %d; summary %+v", next, nextGrant, s)
+	}
+}
+
 func TestGrantLifecycle(t *testing.T) {
 	c := NewCollector(2, Config{GrantCap: 2})
 	c.GrantAcquired(1, 0x40, 100)

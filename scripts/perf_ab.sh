@@ -16,10 +16,11 @@
 # coordinator and two simd workers, where only cache misses simulate)
 # runs the same interleaved pairs after them, report only. Writes the
 # per-pair table to perf_ab.tsv in the current directory: each run's
-# sim_kips, set-up time (setup_s: the single-thread reference runs), rps
-# and p50_ms. Prints the median sim_kips ratio per workload, and the
-# median setup_s ratio, plus rps and p50_ms ratios for fleet-zipf. Only
-# the simulator workloads' sim_kips ratios can fail the gate.
+# sim_kips, set-up time (setup_s: the single-thread reference runs), rps,
+# p50_ms and peak_rss_mb. Prints the median sim_kips ratio per workload,
+# and the median setup_s and peak_rss_mb ratios, plus rps and p50_ms
+# ratios for fleet-zipf. Only the simulator workloads' sim_kips ratios
+# can fail the gate.
 set -euo pipefail
 
 readonly PAIRS=8
@@ -44,8 +45,8 @@ git -C "$root" worktree add --quiet --detach "$tmp/base-src" "$base"
 mkdir -p "$tmp/base" "$tmp/change"
 declare -A script=([base]="$tmp/base-src/perfbench/run.sh" [change]="$root/perfbench/run.sh")
 
-# run SIDE WORKLOAD SEED prints the run's sim_kips, setup_s, rps and
-# p50_ms separated by tabs, or fails with the run's output when it
+# run SIDE WORKLOAD SEED prints the run's sim_kips, setup_s, rps, p50_ms
+# and peak_rss_mb separated by tabs, or fails with the run's output when it
 # errored or was not correct.
 run() {
   local side=$1 w=$2 seed=$3 line
@@ -59,7 +60,7 @@ run() {
     echo "perf_ab: $side $w seed $seed: want \"correct\":true and \"failed\":0, got: $line" >&2
     return 1
   fi
-  jq -r '[.metrics.sim_kips, .metrics.setup_s, .metrics.rps, .metrics.p50_ms] | map(.value) | @tsv' <<<"$line"
+  jq -r '[.metrics.sim_kips, .metrics.setup_s, .metrics.rps, .metrics.p50_ms, .metrics.peak_rss_mb] | map(.value) | @tsv' <<<"$line"
 }
 
 # median_of prints the median of its arguments.
@@ -72,13 +73,14 @@ ratio_of() {
   jq -n "$1 / $2"
 }
 
-printf 'workload\tseed\tfirst\tbase_kips\tchange_kips\tratio\tbase_setup_s\tchange_setup_s\tbase_rps\tchange_rps\tbase_p50_ms\tchange_p50_ms\n' >"$TABLE"
+printf 'workload\tseed\tfirst\tbase_kips\tchange_kips\tratio\tbase_setup_s\tchange_setup_s\tbase_rps\tchange_rps\tbase_p50_ms\tchange_p50_ms\tbase_peak_rss_mb\tchange_peak_rss_mb\n' >"$TABLE"
 status=0
 for w in "${WORKLOADS[@]}" "${REPORT_WORKLOADS[@]}"; do
   ratios=()
   setup_ratios=()
   rps_ratios=()
   p50_ratios=()
+  rss_ratios=()
   for ((seed = 1; seed <= PAIRS; seed++)); do
     if ((seed % 2)); then
       first=base
@@ -89,17 +91,19 @@ for w in "${WORKLOADS[@]}" "${REPORT_WORKLOADS[@]}"; do
       change_out=$(run change "$w" "$seed")
       base_out=$(run base "$w" "$seed")
     fi
-    read -r b bs brps bp50 <<<"$base_out"
-    read -r c cs crps cp50 <<<"$change_out"
+    read -r b bs brps bp50 brss <<<"$base_out"
+    read -r c cs crps cp50 crss <<<"$change_out"
     r=$(ratio_of "$c" "$b")
     ratios+=("$r")
     setup_ratios+=("$(ratio_of "$cs" "$bs")")
     rps_ratios+=("$(ratio_of "$crps" "$brps")")
     p50_ratios+=("$(ratio_of "$cp50" "$bp50")")
-    printf '%s\t%d\t%s\t%s\t%s\t%.4f\t%s\t%s\t%s\t%s\t%s\t%s\n' "$w" "$seed" "$first" "$b" "$c" "$r" "$bs" "$cs" \
-      "$brps" "$crps" "$bp50" "$cp50" | tee -a "$TABLE"
+    rss_ratios+=("$(ratio_of "$crss" "$brss")")
+    printf '%s\t%d\t%s\t%s\t%s\t%.4f\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\n' "$w" "$seed" "$first" "$b" "$c" "$r" "$bs" "$cs" \
+      "$brps" "$crps" "$bp50" "$cp50" "$brss" "$crss" | tee -a "$TABLE"
   done
   printf 'perf_ab: %s: median setup_s ratio %.4f (report only)\n' "$w" "$(median_of "${setup_ratios[@]}")"
+  printf 'perf_ab: %s: median peak_rss_mb ratio %.4f (report only)\n' "$w" "$(median_of "${rss_ratios[@]}")"
   median=$(median_of "${ratios[@]}")
   if [[ " ${REPORT_WORKLOADS[*]} " == *" $w "* ]]; then
     printf 'perf_ab: %s: median rps ratio %.4f, p50_ms ratio %.4f (report only)\n' "$w" \

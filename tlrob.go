@@ -244,6 +244,7 @@ func RunSingle(bench string, opt Options) (SingleResult, error) {
 		return SingleResult{}, err
 	}
 	res, err := cpu.Run(o.Budget)
+	cpu.Release()
 	if err != nil {
 		return SingleResult{}, err
 	}
@@ -324,6 +325,7 @@ func RunBenchmarks(name string, benches []string, opt Options, singleIPC map[str
 		return MixResult{}, err
 	}
 	res, err := cpu.Run(o.Budget)
+	cpu.Release()
 	if err != nil {
 		return MixResult{}, err
 	}
@@ -381,6 +383,7 @@ func RunTraceFiles(paths []string, opt Options) (MixResult, error) {
 		return MixResult{}, err
 	}
 	res, err := cpu.Run(o.Budget)
+	cpu.Release()
 	if err != nil {
 		return MixResult{}, err
 	}
