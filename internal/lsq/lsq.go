@@ -5,7 +5,10 @@
 // hierarchy at commit.
 package lsq
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Entry is one LSQ slot.
 type Entry struct {
@@ -17,11 +20,22 @@ type Entry struct {
 	valid    bool
 }
 
-// ring is one thread's queue.
+// storeBuckets is the number of address buckets the per-thread live
+// store counts are kept in.
+const storeBuckets = 64
+
+// bucket maps an 8-byte-aligned address to its store-count bucket.
+func bucket(addr uint64) uint64 { return (addr >> 3) % storeBuckets }
+
+// ring is one thread's queue. stores[b] counts the live stores whose
+// address falls in bucket b: a load whose bucket holds none has no
+// same-address store to wait on or forward from, and LoadCheck answers
+// it without walking the queue.
 type ring struct {
 	entries []Entry
 	head    int32
 	count   int32
+	stores  [storeBuckets]uint16
 }
 
 // LSQ is the set of per-thread load/store queues.
@@ -29,6 +43,9 @@ type LSQ struct {
 	rings []ring
 	size  int32
 	stats Stats
+	// inspected counts the entries LoadCheck walks read: a work count,
+	// kept out of Stats so it can change without changing any Result.
+	inspected uint64
 }
 
 // Stats counts LSQ activity.
@@ -40,7 +57,7 @@ type Stats struct {
 
 // New builds queues for the given thread count and per-thread size.
 func New(threads, size int) (*LSQ, error) {
-	if threads < 1 || size < 1 {
+	if threads < 1 || size < 1 || size > math.MaxUint16 {
 		return nil, fmt.Errorf("lsq: bad geometry threads=%d size=%d", threads, size)
 	}
 	l := &LSQ{rings: make([]ring, threads), size: int32(size)}
@@ -62,13 +79,16 @@ func (l *LSQ) CanInsert(tid int) bool { return l.rings[tid].count < l.size }
 // Stats returns the activity counters.
 func (l *LSQ) Stats() Stats { return l.stats }
 
+// Inspected returns how many queue entries LoadCheck has read.
+func (l *LSQ) Inspected() uint64 { return l.inspected }
+
 // Insert appends a memory op at the tail and returns its slot.
 func (l *LSQ) Insert(tid int, robSlot int32, seq uint64, isStore bool, addr uint64) int32 {
 	r := &l.rings[tid]
 	if r.count == l.size {
 		panic("lsq: overflow")
 	}
-	slot := (r.head + r.count) % l.size
+	slot := l.wrap(r.head + r.count)
 	r.entries[slot] = Entry{
 		RobSlot: robSlot,
 		Seq:     seq,
@@ -76,9 +96,29 @@ func (l *LSQ) Insert(tid int, robSlot int32, seq uint64, isStore bool, addr uint
 		Addr:    addr &^ 7,
 		valid:   true,
 	}
+	if isStore {
+		r.stores[bucket(addr)]++
+	}
 	r.count++
 	l.stats.Inserted++
 	return slot
+}
+
+// wrap reduces x into [0, size) given x < 2*size, every ring index
+// expression's bound, with a compare instead of a division.
+func (l *LSQ) wrap(x int32) int32 {
+	if x >= l.size {
+		x -= l.size
+	}
+	return x
+}
+
+// drop clears a departing entry and takes it out of its store bucket.
+func (r *ring) drop(e *Entry) {
+	e.valid = false
+	if e.IsStore {
+		r.stores[bucket(e.Addr)]--
+	}
 }
 
 // MarkExecuted records that the op in (tid, slot) finished executing
@@ -97,13 +137,19 @@ func (l *LSQ) MarkExecuted(tid int, slot int32) {
 // executed and its data can be forwarded.
 func (l *LSQ) LoadCheck(tid int, slot int32) (blocked, forward bool) {
 	r := &l.rings[tid]
-	e := &r.entries[slot]
-	addr := e.Addr
+	addr := r.entries[slot].Addr
+	if r.stores[bucket(addr)] == 0 {
+		return false, false
+	}
 	// Walk from the entry just older than the load back to the head; the
 	// first same-address store decides.
-	pos := (slot - r.head + l.size) % l.size
-	for i := pos - 1; i >= 0; i-- {
-		s := &r.entries[(r.head+i)%l.size]
+	for i := l.wrap(slot - r.head + l.size); i > 0; i-- {
+		if slot == 0 {
+			slot = l.size
+		}
+		slot--
+		s := &r.entries[slot]
+		l.inspected++
 		if !s.IsStore || s.Addr != addr {
 			continue
 		}
@@ -132,8 +178,8 @@ func (l *LSQ) PopHead(tid int) {
 	if r.count == 0 {
 		panic("lsq: pop from empty queue")
 	}
-	r.entries[r.head].valid = false
-	r.head = (r.head + 1) % l.size
+	r.drop(&r.entries[r.head])
+	r.head = l.wrap(r.head + 1)
 	r.count--
 }
 
@@ -144,11 +190,11 @@ func (l *LSQ) PopTail(tid int, seq uint64) {
 	if r.count == 0 {
 		panic("lsq: squash pop from empty queue")
 	}
-	tail := (r.head + r.count - 1) % l.size
-	if r.entries[tail].Seq != seq {
-		panic(fmt.Sprintf("lsq: squash order violation: tail seq %d, want %d", r.entries[tail].Seq, seq))
+	tail := &r.entries[l.wrap(r.head+r.count-1)]
+	if tail.Seq != seq {
+		panic(fmt.Sprintf("lsq: squash order violation: tail seq %d, want %d", tail.Seq, seq))
 	}
-	r.entries[tail].valid = false
+	r.drop(tail)
 	r.count--
 }
 
@@ -157,6 +203,7 @@ func (l *LSQ) CheckInvariants() error {
 	for t := range l.rings {
 		r := &l.rings[t]
 		var prev uint64
+		var stores [storeBuckets]uint16
 		for i := int32(0); i < r.count; i++ {
 			e := &r.entries[(r.head+i)%l.size]
 			if !e.valid {
@@ -166,6 +213,12 @@ func (l *LSQ) CheckInvariants() error {
 				return fmt.Errorf("lsq: thread %d out of order at %d", t, i)
 			}
 			prev = e.Seq
+			if e.IsStore {
+				stores[bucket(e.Addr)]++
+			}
+		}
+		if stores != r.stores {
+			return fmt.Errorf("lsq: thread %d store buckets %v, live stores give %v", t, r.stores, stores)
 		}
 	}
 	return nil

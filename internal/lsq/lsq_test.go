@@ -1,6 +1,7 @@
 package lsq
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -193,5 +194,106 @@ func TestQuickProgramOrder(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refEntry is one queued memory op in the reference model.
+type refEntry struct {
+	slot     int32
+	seq      uint64
+	isStore  bool
+	addr     uint64
+	executed bool
+}
+
+// refLoadCheck is LoadCheck as a plain walk over every older entry, with
+// no store-bucket filter: the youngest older same-address store decides.
+func refLoadCheck(q []refEntry, pos int) (blocked, forward bool) {
+	for i := pos - 1; i >= 0; i-- {
+		if s := q[i]; s.isStore && s.addr == q[pos].addr {
+			return !s.executed, s.executed
+		}
+	}
+	return false, false
+}
+
+// TestFilteredLoadCheckMatchesFullWalk holds LoadCheck, which skips the
+// walk when the load's address bucket holds no live store, to a full
+// reference walk under random insert, execute, commit (PopHead) and
+// squash (PopTail) traffic. Few distinct addresses, several of them
+// sharing a bucket, keep matches and bucket collisions frequent; queue
+// sizes that do not divide the traffic make the ring wrap at every
+// offset. Every answer and the Forwarded/Blocked stats must agree.
+func TestFilteredLoadCheckMatchesFullWalk(t *testing.T) {
+	// 0x1000, 0x1200 and 0x1400 share a bucket; 0x1004 aliases 0x1000's
+	// 8-byte word; 0x1008 sits in the next bucket.
+	addrs := []uint64{0x1000, 0x1200, 0x1400, 0x1004, 0x1008}
+	rng := rand.New(rand.NewSource(20080909))
+	for _, size := range []int{1, 5, 48} {
+		l := newLSQ(t, 2, size)
+		var want Stats
+		queues := make([][]refEntry, 2)
+		seq := uint64(0)
+		for step := 0; step < 40_000; step++ {
+			tid := rng.Intn(2)
+			q := queues[tid]
+			switch op := rng.Intn(100); {
+			case op < 35: // dispatch
+				if !l.CanInsert(tid) {
+					continue
+				}
+				seq++
+				isStore := rng.Intn(3) == 0
+				addr := addrs[rng.Intn(len(addrs))]
+				slot := l.Insert(tid, int32(seq), seq, isStore, addr)
+				queues[tid] = append(q, refEntry{slot: slot, seq: seq, isStore: isStore, addr: addr &^ 7})
+				want.Inserted++
+			case op < 55: // execute
+				if len(q) == 0 {
+					continue
+				}
+				i := rng.Intn(len(q))
+				l.MarkExecuted(tid, q[i].slot)
+				q[i].executed = true
+			case op < 70: // commit
+				if len(q) == 0 {
+					continue
+				}
+				l.PopHead(tid)
+				queues[tid] = q[1:]
+			case op < 80: // squash
+				if len(q) == 0 {
+					continue
+				}
+				l.PopTail(tid, q[len(q)-1].seq)
+				queues[tid] = q[:len(q)-1]
+			default: // a load asks to issue
+				if len(q) == 0 {
+					continue
+				}
+				i := rng.Intn(len(q))
+				if q[i].isStore {
+					continue
+				}
+				gb, gf := l.LoadCheck(tid, q[i].slot)
+				wb, wf := refLoadCheck(q, i)
+				if gb != wb || gf != wf {
+					t.Fatalf("size %d step %d: LoadCheck seq %d = (%v,%v), full walk (%v,%v)",
+						size, step, q[i].seq, gb, gf, wb, wf)
+				}
+				if wb {
+					want.Blocked++
+				}
+				if wf {
+					want.Forwarded++
+				}
+			}
+			if got := l.Stats(); got != want {
+				t.Fatalf("size %d step %d: stats %+v, want %+v", size, step, got, want)
+			}
+			if err := l.CheckInvariants(); err != nil {
+				t.Fatalf("size %d step %d: %v", size, step, err)
+			}
+		}
 	}
 }

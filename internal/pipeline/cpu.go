@@ -182,6 +182,10 @@ type CPU struct {
 	// rest were skipped). Tests read it; it stays out of Result so the
 	// two engines' Results still compare equal.
 	stepped int64
+	// work is the rest of the work ledger: host-independent counts of
+	// what the stepped cycles did. Like stepped it stays out of Result;
+	// TestWorkLedgerGolden pins it.
+	work workLedger
 
 	// tel is nil when telemetry is disabled; the per-cycle collector
 	// calls are guarded by that nil check. telState is the reusable
@@ -189,6 +193,18 @@ type CPU struct {
 	// each thread's outcome into it without a nil check of its own.
 	tel      *telemetry.Collector
 	telState *telemetry.CycleState
+}
+
+// workLedger counts the engine's own work. The LSQ entries LoadCheck
+// inspects and the DoD-index writes are counted by their substrates
+// (lsq.LSQ.Inspected, rob.Ring.IndexWrites).
+type workLedger struct {
+	skipSpans    int64 // idle spans skipTo charged in closed form
+	eventsPushed int64
+	eventsPopped int64
+	readyEntries int64 // IQ entries CollectReady returned
+	gateEvals    int64 // dispatchGate evaluations, dry runs included
+	loadChecks   int64 // lsq.LoadCheck calls
 }
 
 // New builds a CPU; sources must supply cfg.Threads trace streams. Its

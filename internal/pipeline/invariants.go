@@ -77,11 +77,6 @@ func (c *CPU) CheckInvariants() error {
 					return fmt.Errorf("thread %d: memory op seq %d without LSQ slot", tid, u.Seq)
 				}
 			}
-			if !u.Issued && !u.Executed && !u.InIQ {
-				// InIQ is not tracked per-uop; reconstructed below via
-				// queue counts instead.
-				_ = u
-			}
 			if u.Executed && !u.Issued {
 				return fmt.Errorf("thread %d: seq %d executed without issuing", tid, u.Seq)
 			}

@@ -33,6 +33,7 @@ func (c *CPU) advance(maxCycles int64) bool {
 				t = maxCycles
 			}
 			if t > next {
+				c.work.skipSpans++
 				c.skipTo(next, t)
 				next = t
 			}
@@ -72,7 +73,7 @@ func (c *CPU) advance(maxCycles int64) bool {
 func (c *CPU) nextInterestingCycle() int64 {
 	next := c.now + 1
 	for t := range c.threads {
-		if h := c.rob.Ring(t).Head(); h != nil && h.Executed {
+		if c.rob.Ring(t).HeadDone() {
 			return next // a commit is pending
 		}
 	}

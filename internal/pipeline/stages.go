@@ -296,6 +296,7 @@ func (c *CPU) robStallCause(tid int, th *thread) telemetry.Cause {
 //
 //tlrob:allocfree
 func (c *CPU) dispatchGate(tid int, th *thread, fe *feEntry) telemetry.Cause {
+	c.work.gateEvals++
 	inst := &fe.inst
 	if !c.rob.CanDispatch(tid) {
 		return c.robStallCause(tid, th)
@@ -353,7 +354,6 @@ func (c *CPU) dispatchOne(tid int, th *thread, fe *feEntry) telemetry.Cause {
 	u.Taken = inst.Taken
 	u.PredTaken = fe.predTaken
 	u.Hist = fe.hist
-	u.FetchedAt = fe.readyAt - int64(c.cfg.FrontEndDepth)
 	u.WrongPath = fe.wrongPath
 	u.LsqSlot = -1
 	u.DestPhys = uop.NoReg
@@ -417,6 +417,7 @@ func (c *CPU) dispatchOne(tid int, th *thread, fe *feEntry) telemetry.Cause {
 //tlrob:allocfree
 func (c *CPU) issue() {
 	c.readyBuf = c.iq.CollectReady(c.readyBuf)
+	c.work.readyEntries += int64(len(c.readyBuf))
 	issued := 0
 	for _, idx := range c.readyBuf {
 		if issued >= c.cfg.IssueWidth {
@@ -427,6 +428,7 @@ func (c *CPU) issue() {
 		u := c.rob.Ring(tid).At(e.H.Slot)
 		var forward bool
 		if u.Op == isa.OpLoad {
+			c.work.loadChecks++
 			blocked, fwd := c.lsq.LoadCheck(tid, u.LsqSlot)
 			if blocked {
 				continue // older same-address store still pending
@@ -438,7 +440,6 @@ func (c *CPU) issue() {
 		}
 		c.iq.Remove(idx)
 		u.Issued = true
-		u.IssuedAt = c.now
 		if c.early != nil {
 			for _, s := range u.SrcPhys {
 				c.early.OnIssueRead(s)
@@ -446,6 +447,7 @@ func (c *CPU) issue() {
 		}
 		completeAt := c.execLatency(tid, u, forward)
 		c.events.push(event{at: completeAt, seq: u.Seq, slot: u.RobSlot, tid: e.H.Tid, kind: evComplete})
+		c.work.eventsPushed++
 		issued++
 	}
 }
@@ -457,12 +459,10 @@ func (c *CPU) execLatency(tid int, u *uop.UOp, forward bool) int64 {
 		return c.now + lat
 	}
 	if forward {
-		u.Forwarded = true
 		return c.now + lat
 	}
 	res := c.hier.Load(u.Addr, c.now)
 	u.L1Miss = res.L1Miss
-	u.L2Miss = res.L2Miss
 	base := c.now + lat
 	if res.ReadyAt > base {
 		base = res.ReadyAt
@@ -476,7 +476,6 @@ func (c *CPU) execLatency(tid int, u *uop.UOp, forward bool) int64 {
 	}
 	c.stats.LoadLatencySum[tid] += uint64(base - c.now)
 	pred := c.loadHit.Predict(tid, u.PC)
-	u.LoadHitPred = pred
 	c.loadHit.Update(tid, u.PC, !res.L1Miss, pred)
 	if pred && res.L1Miss {
 		// Consumers were speculatively scheduled against a hit and must
@@ -494,6 +493,7 @@ func (c *CPU) execLatency(tid int, u *uop.UOp, forward bool) int64 {
 			tid:  int8(tid),
 			kind: evMissDetect,
 		})
+		c.work.eventsPushed++
 	}
 	return base
 }
@@ -504,6 +504,7 @@ func (c *CPU) execLatency(tid int, u *uop.UOp, forward bool) int64 {
 func (c *CPU) writeback() {
 	for c.events.len() > 0 && c.events.peekAt() <= c.now {
 		ev := c.events.pop()
+		c.work.eventsPopped++
 		tid := int(ev.tid)
 		ring := c.rob.Ring(tid)
 		if ring.PosOf(ev.slot) < 0 {
@@ -553,7 +554,6 @@ func (c *CPU) missDetect(tid int, u *uop.UOp) {
 func (c *CPU) complete(tid int, u *uop.UOp) {
 	th := &c.threads[tid]
 	c.rob.Ring(tid).MarkExecuted(u.RobSlot)
-	u.CompleteAt = c.now
 	if u.DestPhys != uop.NoReg {
 		c.rf.SetReady(u.DestPhys)
 		c.iq.Wakeup(u.DestPhys)
@@ -772,15 +772,20 @@ func (c *CPU) commit(budget uint64) bool {
 	remaining := c.cfg.CommitWidth
 	n := c.cfg.Threads
 	done := false
+	tid := c.commitRR
 	for i := 0; i < n && remaining > 0; i++ {
-		tid := (c.commitRR + i) % n
+		if i > 0 {
+			tid++
+			if tid == n {
+				tid = 0
+			}
+		}
 		th := &c.threads[tid]
 		ring := c.rob.Ring(tid)
-		for remaining > 0 {
+		// HeadDone reads the head's result-valid bit, not the entry: a
+		// thread with nothing to commit costs no uop load.
+		for remaining > 0 && ring.HeadDone() {
 			h := ring.Head()
-			if h == nil || !h.Executed {
-				break
-			}
 			if h.WrongPath {
 				panic(fmt.Sprintf("pipeline: wrong-path uop at commit (tid=%d seq=%d)", tid, h.Seq))
 			}
@@ -792,7 +797,10 @@ func (c *CPU) commit(budget uint64) bool {
 			}
 		}
 	}
-	c.commitRR = (c.commitRR + 1) % n
+	c.commitRR++
+	if c.commitRR == n {
+		c.commitRR = 0
+	}
 	return done
 }
 

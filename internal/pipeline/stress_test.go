@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/policy"
@@ -50,6 +51,37 @@ func mixSources(t *testing.T, name string, seed uint64) []TraceSource {
 		srcs[i] = gens[i]
 	}
 	return srcs
+}
+
+// TestInvariantsRejectLiveSquashedEntry: commit and the skip-ahead
+// engine read the head's result-valid bit (rob.Ring.HeadDone), which
+// is also clear for a squashed entry. That is sound only because the
+// squash walk pops every entry it marks, so CheckInvariants must reject
+// a live squashed entry.
+func TestInvariantsRejectLiveSquashedEntry(t *testing.T) {
+	c, err := New(baselineCfg(4, 32), mixSources(t, "Mix 10", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Run(500); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatalf("after a clean run: %v", err)
+	}
+	for tid := 0; tid < c.cfg.Threads; tid++ {
+		ring := c.rob.Ring(tid)
+		if ring.Len() == 0 {
+			continue
+		}
+		ring.MarkSquashed(ring.SlotAt(0))
+		err := c.CheckInvariants()
+		if err == nil || !strings.Contains(err.Error(), "squashed entry still live") {
+			t.Fatalf("thread %d: CheckInvariants = %v, want a live squashed entry", tid, err)
+		}
+		return
+	}
+	t.Fatal("every ROB is empty: nothing to squash")
 }
 
 func TestStressInvariantsBaseline(t *testing.T) {

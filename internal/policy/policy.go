@@ -200,8 +200,11 @@ func (r *rotor) SkipCycles(k int64, threads int) {
 func icountOrder(snaps []Snapshot, order []int, off int, skip func(*Snapshot) bool) []int {
 	order = order[:0]
 	n := len(snaps)
+	t := off - 1 // off is a rotor value, in [0, n)
 	for i := 0; i < n; i++ {
-		t := (i + off) % n
+		if t++; t == n {
+			t = 0
+		}
 		if snaps[t].Finished || (skip != nil && skip(&snaps[t])) {
 			continue
 		}

@@ -1,6 +1,7 @@
 package rob
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -142,14 +143,22 @@ func TestUntrainedLookupNotCountedAsDoDDenial(t *testing.T) {
 // TestIncrementalDoDMatchesLinearWalk drives a ring through a long
 // randomized insert/execute/squash/commit sequence and checks after every
 // step that the incremental counter agrees with the original O(window)
-// walk, and that the ring's internal invariants (unexec counter and every
-// Fenwick leaf) hold. The seed is fixed for reproducibility.
+// walk, that HeadDone agrees with the head entry's status, and that the
+// ring's internal invariants (unexec counter and every slot's bit) hold.
+// The capacities straddle the 64-slot words of the bitset: one word,
+// exactly one, one slot into a second, three, and the paper's 416-entry
+// ring. The seed is fixed for reproducibility.
 func TestIncrementalDoDMatchesLinearWalk(t *testing.T) {
 	DebugCrossCheckDoD = true
 	defer func() { DebugCrossCheckDoD = false }()
 
+	for _, capacity := range []int{1, 63, 64, 65, 130, 416} {
+		t.Run(fmt.Sprint(capacity), func(t *testing.T) { dodWalk(t, capacity) })
+	}
+}
+
+func dodWalk(t *testing.T, capacity int) {
 	rng := rand.New(rand.NewSource(20080613)) // the paper's conference year+month+day
-	const capacity = 48
 	r := NewRing(capacity)
 	seq := uint64(1)
 	for step := 0; step < 25_000; step++ {
@@ -191,6 +200,9 @@ func TestIncrementalDoDMatchesLinearWalk(t *testing.T) {
 			if got, want := ApproxDoD(r, slot), ApproxDoDLinear(r, slot); got != want {
 				t.Fatalf("step %d slot %d: incremental %d != linear %d", step, slot, got, want)
 			}
+		}
+		if h := r.Head(); r.HeadDone() != (h != nil && (h.Executed || h.Squashed)) {
+			t.Fatalf("step %d: HeadDone %v for head %+v", step, r.HeadDone(), h)
 		}
 		if err := r.CheckInvariants(); err != nil {
 			t.Fatalf("step %d: %v", step, err)

@@ -8,6 +8,7 @@ package rob
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/uop"
 )
@@ -18,24 +19,28 @@ import (
 // the thread can ever hold (first level + the whole second level); the
 // *effective* capacity at any moment is imposed by the TwoLevel manager.
 //
-// The ring also maintains the state behind the incremental DoD counter:
-// a running total of live not-yet-executed entries plus a Fenwick tree
-// over physical slots, so ApproxDoD answers "how many unexecuted entries
-// are younger than this load" without walking the window. Execution and
-// squash status must therefore be recorded through MarkExecuted and
-// MarkSquashed rather than by writing the UOp fields directly.
+// The ring also maintains the state behind the incremental DoD counter,
+// one "result not yet valid" bit per physical slot, so ApproxDoD answers "how many
+// unexecuted entries are younger than this load" with a popcount over
+// the window's words instead of walking its entries, and HeadDone tells
+// commit whether the head has executed without loading the entry.
+// Execution and squash status must therefore be recorded through
+// MarkExecuted and MarkSquashed rather than by writing the UOp fields
+// directly.
 type Ring struct {
 	entries  []uop.UOp
 	head     int32 // slot of the oldest entry
 	count    int32
 	capacity int32
 
-	// unexec counts live entries whose "result valid" bit is still clear
-	// (neither executed nor squashed); unexecBit is a Fenwick (binary
-	// indexed) tree over physical slots holding one bit per such entry,
-	// maintained at push/execute/squash/pop.
-	unexec    int32
-	unexecBit []int32
+	// unexecBit holds one bit per physical slot (bit slot&63 of word
+	// slot>>6), set exactly for the live entries whose result is not yet
+	// valid (neither executed nor squashed): set at push, cleared at
+	// execute, squash and pop.
+	unexecBit []uint64
+	// indexWrites counts the DoD-index words written: a work count
+	// outside Stats.
+	indexWrites uint64
 }
 
 // NewRing allocates a ring with the given physical capacity.
@@ -46,7 +51,7 @@ func NewRing(capacity int) *Ring {
 	return &Ring{
 		entries:   make([]uop.UOp, capacity),
 		capacity:  int32(capacity),
-		unexecBit: make([]int32, capacity+1),
+		unexecBit: make([]uint64, (capacity+63)/64),
 	}
 }
 
@@ -56,34 +61,49 @@ func (r *Ring) Len() int { return int(r.count) }
 // Cap returns the physical capacity.
 func (r *Ring) Cap() int { return int(r.capacity) }
 
-// bitAdd adds d to the Fenwick leaf for a physical slot.
+// IndexWrites returns how many DoD-index words the ring has written.
+func (r *Ring) IndexWrites() uint64 { return r.indexWrites }
+
+// setBit and clearBit write the bit of a physical slot.
 //
 //tlrob:allocfree
-func (r *Ring) bitAdd(slot, d int32) {
-	for i := slot + 1; i <= r.capacity; i += i & -i {
-		r.unexecBit[i] += d
-	}
+func (r *Ring) setBit(slot int32) {
+	r.unexecBit[slot>>6] |= 1 << uint(slot&63)
+	r.indexWrites++
 }
 
-// bitPrefix sums the Fenwick leaves for physical slots [0, slot].
-//
 //tlrob:allocfree
-func (r *Ring) bitPrefix(slot int32) int32 {
-	s := int32(0)
-	for i := slot + 1; i > 0; i -= i & -i {
-		s += r.unexecBit[i]
-	}
-	return s
+func (r *Ring) clearBit(slot int32) {
+	r.unexecBit[slot>>6] &^= 1 << uint(slot&63)
+	r.indexWrites++
 }
 
-// bitRange sums the leaves for physical slots [a, b] (a <= b).
+// bitRange counts the set bits of physical slots [a, b] (a <= b): a
+// masked popcount over the words the range touches.
 //
 //tlrob:allocfree
 func (r *Ring) bitRange(a, b int32) int32 {
-	if a == 0 {
-		return r.bitPrefix(b)
+	wa, wb := a>>6, b>>6
+	lo := ^uint64(0) << uint(a&63)      // bits a&63.. of word wa
+	hi := ^uint64(0) >> uint(63-(b&63)) // bits ..b&63 of word wb
+	if wa == wb {
+		return int32(bits.OnesCount64(r.unexecBit[wa] & lo & hi))
 	}
-	return r.bitPrefix(b) - r.bitPrefix(a-1)
+	n := bits.OnesCount64(r.unexecBit[wa]&lo) + bits.OnesCount64(r.unexecBit[wb]&hi)
+	for _, w := range r.unexecBit[wa+1 : wb] {
+		n += bits.OnesCount64(w)
+	}
+	return int32(n)
+}
+
+// HeadDone reports whether the oldest entry's result is valid, reading
+// only its bit: false when the ring is empty. A clear bit means executed
+// or squashed; the pipeline pops every entry it squashes within the
+// same walk, so a live head with a clear bit has executed.
+//
+//tlrob:allocfree
+func (r *Ring) HeadDone() bool {
+	return r.count > 0 && r.unexecBit[r.head>>6]&(1<<uint(r.head&63)) == 0
 }
 
 // counted reports whether an entry contributes to the unexecuted count.
@@ -113,8 +133,7 @@ func (r *Ring) Push() (int32, *uop.UOp) {
 	e := &r.entries[slot]
 	*e = uop.UOp{}
 	e.RobSlot = slot
-	r.unexec++
-	r.bitAdd(slot, 1)
+	r.setBit(slot)
 	return slot, e
 }
 
@@ -124,12 +143,8 @@ func (r *Ring) Push() (int32, *uop.UOp) {
 //
 //tlrob:allocfree
 func (r *Ring) MarkExecuted(slot int32) {
-	e := &r.entries[slot]
-	if counted(e) {
-		r.unexec--
-		r.bitAdd(slot, -1)
-	}
-	e.Executed = true
+	r.clearBit(slot)
+	r.entries[slot].Executed = true
 }
 
 // MarkSquashed flags the entry as squashed; like MarkExecuted it keeps the
@@ -138,30 +153,27 @@ func (r *Ring) MarkExecuted(slot int32) {
 //
 //tlrob:allocfree
 func (r *Ring) MarkSquashed(slot int32) {
-	e := &r.entries[slot]
-	if counted(e) {
-		r.unexec--
-		r.bitAdd(slot, -1)
-	}
-	e.Squashed = true
+	r.clearBit(slot)
+	r.entries[slot].Squashed = true
 }
 
 // Unexecuted returns the number of live entries whose result is not yet
-// valid — the incremental total behind ApproxDoD.
-func (r *Ring) Unexecuted() int { return int(r.unexec) }
+// valid.
+func (r *Ring) Unexecuted() int { return int(r.bitRange(0, r.capacity-1)) }
 
 // UnexecutedYounger returns how many live not-yet-executed entries are
 // strictly younger than the entry in slot, or 0 when the slot is dead.
 // The load's own status does not matter: only the entries behind it are
-// counted, exactly as the linear §4.1 walk does. Cost is O(log capacity)
-// — two Fenwick prefix sums — versus the walk's O(window).
+// counted, exactly as the linear §4.1 walk does. Cost is one popcount
+// per 64 slots of the range — at most capacity/64+1 words — versus the
+// walk's one entry per slot.
 func (r *Ring) UnexecutedYounger(slot int32) int {
 	pos := r.PosOf(slot)
 	if pos < 0 || int32(pos)+1 >= r.count {
 		return 0
 	}
 	// Entries younger than slot occupy the circular physical range
-	// (slot+1 .. tail), split at the wrap point for prefix-sum queries.
+	// (slot+1 .. tail), split at the wrap point.
 	a := r.wrap(slot + 1)
 	b := r.wrap(r.head + r.count - 1)
 	if a <= b {
@@ -185,10 +197,7 @@ func (r *Ring) PopHead() {
 	if r.count == 0 {
 		panic("rob: pop from empty ring")
 	}
-	if e := &r.entries[r.head]; counted(e) {
-		r.unexec--
-		r.bitAdd(r.head, -1)
-	}
+	r.clearBit(r.head)
 	r.head = r.wrap(r.head + 1)
 	r.count--
 }
@@ -208,11 +217,7 @@ func (r *Ring) PopTail() {
 	if r.count == 0 {
 		panic("rob: pop from empty ring")
 	}
-	slot := r.wrap(r.head + r.count - 1)
-	if e := &r.entries[slot]; counted(e) {
-		r.unexec--
-		r.bitAdd(slot, -1)
-	}
+	r.clearBit(r.wrap(r.head + r.count - 1))
 	r.count--
 }
 
@@ -260,17 +265,14 @@ func (r *Ring) CheckInvariants() error {
 		if counted(e) {
 			unexec++
 			if got := r.bitRange(slot, slot); got != 1 {
-				return fmt.Errorf("rob: slot %d unexecuted but fenwick leaf is %d", slot, got)
+				return fmt.Errorf("rob: slot %d unexecuted but its bit is %d", slot, got)
 			}
 		} else if got := r.bitRange(slot, slot); got != 0 {
-			return fmt.Errorf("rob: slot %d executed/squashed but fenwick leaf is %d", slot, got)
+			return fmt.Errorf("rob: slot %d executed/squashed but its bit is %d", slot, got)
 		}
 	}
-	if unexec != r.unexec {
-		return fmt.Errorf("rob: unexec counter %d but %d live unexecuted entries", r.unexec, unexec)
-	}
-	if total := r.bitPrefix(r.capacity - 1); total != r.unexec {
-		return fmt.Errorf("rob: fenwick total %d but unexec counter %d", total, r.unexec)
+	if total := r.bitRange(0, r.capacity-1); total != unexec {
+		return fmt.Errorf("rob: %d bits set but %d live unexecuted entries", total, unexec)
 	}
 	return nil
 }

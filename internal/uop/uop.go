@@ -29,13 +29,8 @@ type UOp struct {
 	RobSlot int32 // slot in the owning thread's ROB ring
 	LsqSlot int32 // slot in the thread's LSQ (-1 if none)
 
-	FetchedAt  int64
-	IssuedAt   int64
-	CompleteAt int64
-
 	// Status bits. Executed corresponds to the ROB "result valid" bit the
 	// paper's DoD counter walks.
-	InIQ      bool
 	Issued    bool
 	Executed  bool
 	Squashed  bool
@@ -47,11 +42,8 @@ type UOp struct {
 	Mispred   bool
 
 	// Load state.
-	L1Miss      bool
-	L2Miss      bool
-	L2Detected  bool // the L2 miss has been reported to the ROB manager
-	LoadHitPred bool
-	Forwarded   bool // satisfied by store-to-load forwarding
+	L1Miss     bool
+	L2Detected bool // the L2 miss has been reported to the ROB manager
 }
 
 // Handle identifies an in-flight UOp by thread and ROB slot.

@@ -19,8 +19,10 @@
 # sim_kips, set-up time (setup_s: the single-thread reference runs), rps,
 # p50_ms and peak_rss_mb. Prints the median sim_kips ratio per workload,
 # and the median setup_s and peak_rss_mb ratios, plus rps and p50_ms
-# ratios for fleet-zipf. Only the simulator workloads' sim_kips ratios
-# can fail the gate.
+# ratios for fleet-zipf. Next to each median it prints how many pairs
+# moved the good way (for example "8/8 pairs faster"), so a claimed gain
+# can be read from the gate's own output. Only the simulator workloads'
+# sim_kips ratios can fail the gate.
 set -euo pipefail
 
 readonly PAIRS=8
@@ -68,6 +70,15 @@ median_of() {
   printf '%s\n' "$@" | jq -s 'sort | (.[(length - 1) / 2 | floor] + .[length / 2 | floor]) / 2'
 }
 
+# pairs_better higher|lower RATIO... prints "K/N", where K counts the
+# ratios above 1 (higher is better) or below 1 (lower is better).
+pairs_better() {
+  local dir=$1
+  shift
+  printf '%s\n' "$@" | jq -rs --arg dir "$dir" \
+    '"\(map(select(if $dir == "higher" then . > 1 else . < 1 end)) | length)/\(length)"'
+}
+
 # ratio_of NUMERATOR DENOMINATOR prints their quotient.
 ratio_of() {
   jq -n "$1 / $2"
@@ -102,18 +113,22 @@ for w in "${WORKLOADS[@]}" "${REPORT_WORKLOADS[@]}"; do
     printf '%s\t%d\t%s\t%s\t%s\t%.4f\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\n' "$w" "$seed" "$first" "$b" "$c" "$r" "$bs" "$cs" \
       "$brps" "$crps" "$bp50" "$cp50" "$brss" "$crss" | tee -a "$TABLE"
   done
-  printf 'perf_ab: %s: median setup_s ratio %.4f (report only)\n' "$w" "$(median_of "${setup_ratios[@]}")"
-  printf 'perf_ab: %s: median peak_rss_mb ratio %.4f (report only)\n' "$w" "$(median_of "${rss_ratios[@]}")"
+  printf 'perf_ab: %s: median setup_s ratio %.4f, %s pairs faster (report only)\n' "$w" \
+    "$(median_of "${setup_ratios[@]}")" "$(pairs_better lower "${setup_ratios[@]}")"
+  printf 'perf_ab: %s: median peak_rss_mb ratio %.4f, %s pairs lower (report only)\n' "$w" \
+    "$(median_of "${rss_ratios[@]}")" "$(pairs_better lower "${rss_ratios[@]}")"
   median=$(median_of "${ratios[@]}")
+  faster=$(pairs_better higher "${ratios[@]}")
   if [[ " ${REPORT_WORKLOADS[*]} " == *" $w "* ]]; then
-    printf 'perf_ab: %s: median rps ratio %.4f, p50_ms ratio %.4f (report only)\n' "$w" \
-      "$(median_of "${rps_ratios[@]}")" "$(median_of "${p50_ratios[@]}")"
-    printf 'perf_ab: %s: median sim_kips ratio %.4f (report only)\n' "$w" "$median"
+    printf 'perf_ab: %s: median rps ratio %.4f, %s pairs higher; p50_ms ratio %.4f, %s pairs lower (report only)\n' "$w" \
+      "$(median_of "${rps_ratios[@]}")" "$(pairs_better higher "${rps_ratios[@]}")" \
+      "$(median_of "${p50_ratios[@]}")" "$(pairs_better lower "${p50_ratios[@]}")"
+    printf 'perf_ab: %s: median sim_kips ratio %.4f, %s pairs faster (report only)\n' "$w" "$median" "$faster"
   elif jq -e -n "$median < $BOUND" >/dev/null; then
-    printf 'perf_ab: %s: median sim_kips ratio %.4f is below %.2f\n' "$w" "$median" "$BOUND" >&2
+    printf 'perf_ab: %s: median sim_kips ratio %.4f, %s pairs faster, is below %.2f\n' "$w" "$median" "$faster" "$BOUND" >&2
     status=1
   else
-    printf 'perf_ab: %s: median sim_kips ratio %.4f (bound %.2f)\n' "$w" "$median" "$BOUND"
+    printf 'perf_ab: %s: median sim_kips ratio %.4f, %s pairs faster (bound %.2f)\n' "$w" "$median" "$faster" "$BOUND"
   fi
 done
 exit "$status"
