@@ -1,20 +1,13 @@
 // Command tlrobvet is the repository's static-analysis gate: it runs
-// the stock `go vet` suite plus the seven custom analyzers that
-// enforce the simulator's and the serving fleet's load-bearing
-// invariants —
+// the stock `go vet` suite plus the four custom analyzers that each
+// catch a bug no test, race run or fuzz target catches (the mutant
+// matrix in docs/ANALYSIS.md) —
 //
 //	allocfree     //tlrob:allocfree regions contain no heap-allocating
 //	              constructs (the static half of the malloc-count tests)
 //	determinism   no wall clock or math/rand in sim-core packages; no
 //	              unsorted map iteration feeding output (cache keys and
 //	              golden files depend on bit-identical runs)
-//	exhaustcause  switches over telemetry.Cause / rob.Scheme cover every
-//	              member or panic, so active+stalls==cycles survives
-//	              enum growth
-//	ctxflow       context.Context is the first parameter and never a
-//	              struct field
-//	lockguard     no sync.Mutex/RWMutex held across blocking operations,
-//	              returned while held, or re-locked (CFG must-analysis)
 //	golifecycle   every go statement in cluster/server/store is
 //	              lifecycle-tracked: WaitGroup.Add before the spawn or a
 //	              stop-channel/ctx.Done() receive in the body
@@ -51,21 +44,15 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/analysis/allocfree"
 	"repro/internal/analysis/bodyclose"
-	"repro/internal/analysis/ctxflow"
 	"repro/internal/analysis/determinism"
-	"repro/internal/analysis/exhaustcause"
 	"repro/internal/analysis/golifecycle"
-	"repro/internal/analysis/lockguard"
 )
 
 var analyzers = []*analysis.Analyzer{
 	allocfree.Analyzer,
 	bodyclose.Analyzer,
-	ctxflow.Analyzer,
 	determinism.Analyzer,
-	exhaustcause.Analyzer,
 	golifecycle.Analyzer,
-	lockguard.Analyzer,
 }
 
 // ndjsonRecord is one diagnostic in machine-readable form.

@@ -177,9 +177,9 @@ func IsTestFile(fset *token.FileSet, pos token.Pos) bool {
 	return strings.HasSuffix(fset.Position(pos).Filename, "_test.go")
 }
 
-// Named unwraps t to a *types.Named, looking through pointers and
+// named unwraps t to a *types.Named, looking through pointers and
 // aliases; nil if t is not (a pointer to) a named type.
-func Named(t types.Type) *types.Named {
+func named(t types.Type) *types.Named {
 	if t == nil {
 		return nil
 	}
@@ -194,7 +194,7 @@ func Named(t types.Type) *types.Named {
 // where pkgSuffix matches the final segment of the defining package's
 // import path (so testdata fixtures can stand in for real packages).
 func IsNamedType(t types.Type, pkgSuffix, name string) bool {
-	n := Named(t)
+	n := named(t)
 	if n == nil || n.Obj() == nil || n.Obj().Pkg() == nil {
 		return false
 	}

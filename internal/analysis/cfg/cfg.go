@@ -1,8 +1,8 @@
 // Package cfg builds per-function intraprocedural control-flow graphs
 // from go/ast, with no dependency beyond the standard library — the
 // structural layer beneath the concurrency-lifecycle analyzers
-// (lockguard, golifecycle, bodyclose), the same way go/types underpins
-// the PR 4 analyzers. A companion generic dataflow solver (flow.go)
+// (golifecycle, bodyclose), the same way go/types underpins the
+// syntax-level ones. A companion generic dataflow solver (flow.go)
 // computes per-block reaching facts over a Graph.
 //
 // The builder decomposes compound statements: an if/for/switch

@@ -89,8 +89,6 @@ type thread struct {
 	pendingDMiss  int // issued loads with an L1D miss outstanding
 	pendingL2Miss int // detected, unserviced L2 misses
 
-	intRegs, fpRegs int // in-flight physical registers held
-
 	// MLP-policy episode tracking: the load that opened the current miss
 	// episode, the misses observed since, and the episode's prediction.
 	episodePC     uint64
@@ -259,12 +257,7 @@ func newCPU(cfg Config, sources []TraceSource, hier func(cache.HierConfig) (*cac
 			return nil, err
 		}
 	}
-	lim := policy.Limits{
-		IQ:      cfg.IQSize,
-		IntRegs: cfg.IntRegs,
-		FPRegs:  cfg.FPRegs,
-	}
-	if c.pol, err = policy.New(cfg.PolicyKind, cfg.DCRAAlpha, lim); err != nil {
+	if c.pol, err = policy.New(cfg.PolicyKind, cfg.DCRAAlpha, cfg.IQSize); err != nil {
 		return nil, err
 	}
 	c.threads = make([]thread, cfg.Threads)
@@ -467,8 +460,6 @@ func (c *CPU) buildSnapshots() {
 		c.snaps[t] = policy.Snapshot{
 			FrontEnd:      th.fq.len(),
 			IQ:            c.iq.CountOf(t),
-			IntRegs:       th.intRegs,
-			FPRegs:        th.fpRegs,
 			PendingDMiss:  th.pendingDMiss > 0,
 			PendingL2Miss: th.pendingL2Miss > 0,
 			PredictedMLP:  th.predictedMLP,

@@ -3,7 +3,6 @@ package pipeline
 import (
 	"fmt"
 
-	"repro/internal/isa"
 	"repro/internal/uop"
 )
 
@@ -43,7 +42,6 @@ func (c *CPU) CheckInvariants() error {
 		}
 
 		var prevSeq uint64
-		intRegs, fpRegs := 0, 0
 		memOps := 0
 		for i := 0; i < ring.Len(); i++ {
 			u := ring.At(ring.SlotAt(i))
@@ -57,19 +55,12 @@ func (c *CPU) CheckInvariants() error {
 			if int(u.Tid) != tid {
 				return fmt.Errorf("thread %d: foreign entry (tid %d)", tid, u.Tid)
 			}
-			if u.DestPhys != uop.NoReg {
-				if isa.IsFPReg(int(u.DestArch)) {
-					fpRegs++
-				} else {
-					intRegs++
-				}
-				// With early release, an executed entry's dest can be
-				// legally freed and recycled before commit (its value is
-				// provably dead), so the readiness check only applies to
-				// the plain configuration.
-				if c.early == nil && u.Executed && !c.rf.Ready(u.DestPhys) {
-					return fmt.Errorf("thread %d: executed seq %d has unready dest", tid, u.Seq)
-				}
+			// With early release, an executed entry's dest can be
+			// legally freed and recycled before commit (its value is
+			// provably dead), so the readiness check only applies to the
+			// plain configuration.
+			if u.DestPhys != uop.NoReg && c.early == nil && u.Executed && !c.rf.Ready(u.DestPhys) {
+				return fmt.Errorf("thread %d: executed seq %d has unready dest", tid, u.Seq)
 			}
 			if u.IsMem() {
 				memOps++
@@ -80,10 +71,6 @@ func (c *CPU) CheckInvariants() error {
 			if u.Executed && !u.Issued {
 				return fmt.Errorf("thread %d: seq %d executed without issuing", tid, u.Seq)
 			}
-		}
-		if intRegs != th.intRegs || fpRegs != th.fpRegs {
-			return fmt.Errorf("thread %d: reg counters int=%d/%d fp=%d/%d",
-				tid, th.intRegs, intRegs, th.fpRegs, fpRegs)
 		}
 		if memOps != c.lsq.Count(tid) {
 			return fmt.Errorf("thread %d: %d memory ops in ROB but %d LSQ entries",

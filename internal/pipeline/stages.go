@@ -372,13 +372,6 @@ func (c *CPU) dispatchOne(tid int, th *thread, fe *feEntry) telemetry.Cause {
 			panic("pipeline: register allocation failed after availability check")
 		}
 		u.DestPhys, u.OldPhys = newP, oldP
-		if isa.IsFPReg(int(inst.Dest)) {
-			th.fpRegs++
-			c.snaps[tid].FPRegs++
-		} else {
-			th.intRegs++
-			c.snaps[tid].IntRegs++
-		}
 	}
 	if isMem {
 		u.LsqSlot = c.lsq.Insert(tid, slot, u.Seq, inst.Op == isa.OpStore, inst.Addr)
@@ -665,11 +658,6 @@ func (c *CPU) squash(tid int, targetSeq uint64) {
 		}
 		if t.DestPhys != uop.NoReg {
 			c.rf.Rollback(tid, int(t.DestArch), t.DestPhys, t.OldPhys)
-			if isa.IsFPReg(int(t.DestArch)) {
-				th.fpRegs--
-			} else {
-				th.intRegs--
-			}
 		}
 		if t.LsqSlot >= 0 {
 			c.lsq.PopTail(tid, t.Seq)
@@ -826,11 +814,6 @@ func (c *CPU) commitOne(tid int, th *thread, u *uop.UOp) {
 		}
 		if !released {
 			c.rf.Release(u.OldPhys)
-		}
-		if isa.IsFPReg(int(u.DestArch)) {
-			th.fpRegs--
-		} else {
-			th.intRegs--
 		}
 	}
 	c.rob.Ring(tid).PopHead()

@@ -47,60 +47,16 @@ func ParseKind(name string) (Kind, error) {
 	return 0, fmt.Errorf("policy: unknown policy %q", name)
 }
 
-// Resource identifies a capped shared resource.
-type Resource uint8
-
-const (
-	ResIQ Resource = iota
-	ResIntReg
-	ResFPReg
-
-	NumResources
-)
-
 // Snapshot is the per-thread state the policy decides from, rebuilt by the
 // pipeline every cycle.
 type Snapshot struct {
 	FrontEnd      int // instructions fetched but not yet dispatched
 	IQ            int // issue-queue entries held
-	IntRegs       int // integer physical registers held beyond committed state
-	FPRegs        int // FP physical registers held beyond committed state
 	PendingDMiss  bool
 	PendingL2Miss bool
 	PredictedMLP  int  // predicted overlapped misses of the current episode (MLP policy)
 	OwnsROB       bool // holds the second-level ROB partition
 	Finished      bool // thread reached its instruction budget
-}
-
-func (s *Snapshot) usage(r Resource) int {
-	switch r {
-	case ResIQ:
-		return s.IQ
-	case ResIntReg:
-		return s.IntRegs
-	default:
-		return s.FPRegs
-	}
-}
-
-// Limits carries the shared-resource pool sizes a policy divides among
-// threads. Register pools are the renameable registers beyond the
-// architected state.
-type Limits struct {
-	IQ      int
-	IntRegs int
-	FPRegs  int
-}
-
-func (l Limits) size(r Resource) int {
-	switch r {
-	case ResIQ:
-		return l.IQ
-	case ResIntReg:
-		return l.IntRegs
-	default:
-		return l.FPRegs
-	}
 }
 
 // Policy is consulted by the pipeline front end. Resource control follows
@@ -133,8 +89,9 @@ type Policy interface {
 
 // New constructs a policy. alpha is DCRA's slow-thread share multiplier
 // (ignored by the others); 2 reproduces DCRA's qualitative behaviour.
-// lim supplies the shared pool sizes DCRA divides.
-func New(kind Kind, alpha float64, lim Limits) (Policy, error) {
+// iqSize is the shared issue queue DCRA divides, the one resource it
+// caps.
+func New(kind Kind, alpha float64, iqSize int) (Policy, error) {
 	switch kind {
 	case ICOUNT:
 		return &icount{}, nil
@@ -148,17 +105,17 @@ func New(kind Kind, alpha float64, lim Limits) (Policy, error) {
 		if alpha < 1 {
 			return nil, fmt.Errorf("policy: DCRA alpha %g must be >= 1", alpha)
 		}
-		if lim.IQ < 1 || lim.IntRegs < 1 || lim.FPRegs < 1 {
-			return nil, fmt.Errorf("policy: DCRA needs positive resource pools, got %+v", lim)
+		if iqSize < 1 {
+			return nil, fmt.Errorf("policy: DCRA needs a positive issue-queue size, got %d", iqSize)
 		}
-		return &dcra{alpha: alpha, lim: lim}, nil
+		return &dcra{alpha: alpha, iqSize: iqSize}, nil
 	}
 	return nil, fmt.Errorf("policy: unknown kind %d", kind)
 }
 
 // MustNew panics on error; for vetted static configs.
-func MustNew(kind Kind, alpha float64, lim Limits) Policy {
-	p, err := New(kind, alpha, lim)
+func MustNew(kind Kind, alpha float64, iqSize int) Policy {
+	p, err := New(kind, alpha, iqSize)
 	if err != nil {
 		panic(err)
 	}
@@ -282,8 +239,8 @@ func (*mlpAware) FlushOnL2Miss() bool                { return false }
 // their misses can overlap (MLP), which is DCRA's defining property.
 type dcra struct {
 	rotor
-	alpha float64
-	lim   Limits
+	alpha  float64
+	iqSize int
 }
 
 func (*dcra) Name() string { return "dcra" }
@@ -319,47 +276,42 @@ func (d *dcra) MayDispatchIQ(tid int, snaps []Snapshot) bool {
 }
 
 func (d *dcra) overShare(s *Snapshot, snaps []Snapshot) bool {
-	for r := ResIQ; r <= ResIQ; r++ {
-		fast, slow := 0, 0
-		for t := range snaps {
-			o := &snaps[t]
-			if o.Finished {
-				continue
-			}
-			if o.usage(r) == 0 && o != s {
-				continue
-			}
-			if o.PendingDMiss {
-				slow++
-			} else {
-				fast++
-			}
-		}
-		den := float64(fast) + d.alpha*float64(slow)
-		if den <= 0 {
+	fast, slow := 0, 0
+	for t := range snaps {
+		o := &snaps[t]
+		if o.Finished {
 			continue
 		}
-		share := float64(d.lim.size(r)) / den
-		if s.PendingDMiss {
-			share *= d.alpha
+		if o.IQ == 0 && o != s {
+			continue
 		}
-		if s.OwnsROB {
-			// The second-level ROB grant comes with a doubled IQ budget:
-			// the DoD threshold guarantees the extra shadow instructions
-			// mostly issue and leave quickly (paper §1), so the extended
-			// window needs headroom without being allowed to clog the
-			// queue outright.
-			share *= 2
-		}
-		limit := int(share)
-		if limit < 1 {
-			limit = 1
-		}
-		if s.usage(r) >= limit {
-			return true
+		if o.PendingDMiss {
+			slow++
+		} else {
+			fast++
 		}
 	}
-	return false
+	den := float64(fast) + d.alpha*float64(slow)
+	if den <= 0 {
+		return false
+	}
+	share := float64(d.iqSize) / den
+	if s.PendingDMiss {
+		share *= d.alpha
+	}
+	if s.OwnsROB {
+		// The second-level ROB grant comes with a doubled IQ budget:
+		// the DoD threshold guarantees the extra shadow instructions
+		// mostly issue and leave quickly (paper §1), so the extended
+		// window needs headroom without being allowed to clog the
+		// queue outright.
+		share *= 2
+	}
+	limit := int(share)
+	if limit < 1 {
+		limit = 1
+	}
+	return s.IQ >= limit
 }
 
 func (*dcra) FlushOnL2Miss() bool { return false }

@@ -2,7 +2,7 @@ package policy
 
 import "testing"
 
-func lims() Limits { return Limits{IQ: 64, IntRegs: 224, FPRegs: 224} }
+const iqSize = 64
 
 func TestParseKind(t *testing.T) {
 	for _, k := range []Kind{ICOUNT, DCRA, STALL, FLUSH} {
@@ -17,19 +17,19 @@ func TestParseKind(t *testing.T) {
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(DCRA, 0.5, lims()); err == nil {
+	if _, err := New(DCRA, 0.5, iqSize); err == nil {
 		t.Error("alpha < 1 accepted")
 	}
-	if _, err := New(DCRA, 2, Limits{}); err == nil {
-		t.Error("empty limits accepted")
+	if _, err := New(DCRA, 2, 0); err == nil {
+		t.Error("empty issue queue accepted")
 	}
-	if _, err := New(Kind(99), 2, lims()); err == nil {
+	if _, err := New(Kind(99), 2, iqSize); err == nil {
 		t.Error("unknown kind accepted")
 	}
 }
 
 func TestICountOrdering(t *testing.T) {
-	p := MustNew(ICOUNT, 2, lims())
+	p := MustNew(ICOUNT, 2, iqSize)
 	snaps := []Snapshot{
 		{FrontEnd: 10, IQ: 5}, // total 15
 		{FrontEnd: 0, IQ: 2},  // total 2 -> first
@@ -45,7 +45,7 @@ func TestICountOrdering(t *testing.T) {
 }
 
 func TestFinishedThreadsExcluded(t *testing.T) {
-	p := MustNew(ICOUNT, 2, lims())
+	p := MustNew(ICOUNT, 2, iqSize)
 	snaps := []Snapshot{{Finished: true}, {}}
 	order := p.FetchOrder(snaps, nil)
 	if len(order) != 1 || order[0] != 1 {
@@ -54,7 +54,7 @@ func TestFinishedThreadsExcluded(t *testing.T) {
 }
 
 func TestTieBreakRotates(t *testing.T) {
-	p := MustNew(ICOUNT, 2, lims())
+	p := MustNew(ICOUNT, 2, iqSize)
 	snaps := []Snapshot{{}, {}, {}, {}}
 	first := map[int]bool{}
 	for i := 0; i < 8; i++ {
@@ -67,7 +67,7 @@ func TestTieBreakRotates(t *testing.T) {
 }
 
 func TestStallGatesL2MissThreads(t *testing.T) {
-	p := MustNew(STALL, 2, lims())
+	p := MustNew(STALL, 2, iqSize)
 	snaps := []Snapshot{{PendingL2Miss: true}, {}}
 	order := p.FetchOrder(snaps, nil)
 	if len(order) != 1 || order[0] != 1 {
@@ -79,7 +79,7 @@ func TestStallGatesL2MissThreads(t *testing.T) {
 }
 
 func TestFlushPolicy(t *testing.T) {
-	p := MustNew(FLUSH, 2, lims())
+	p := MustNew(FLUSH, 2, iqSize)
 	if !p.FlushOnL2Miss() {
 		t.Fatal("FLUSH must flush")
 	}
@@ -90,7 +90,7 @@ func TestFlushPolicy(t *testing.T) {
 }
 
 func TestDCRAIQShares(t *testing.T) {
-	p := MustNew(DCRA, 2, lims())
+	p := MustNew(DCRA, 2, iqSize)
 	// Two fast, two slow active threads: fast share 64/(2+2*2)=10,
 	// slow share 21.
 	snaps := []Snapshot{
@@ -114,7 +114,7 @@ func TestDCRAIQShares(t *testing.T) {
 }
 
 func TestDCRAOwnerDoubleBudget(t *testing.T) {
-	p := MustNew(DCRA, 2, lims())
+	p := MustNew(DCRA, 2, iqSize)
 	snaps := []Snapshot{
 		{IQ: 30, PendingDMiss: true, OwnsROB: true},
 		{IQ: 5, PendingDMiss: true},
@@ -132,7 +132,7 @@ func TestDCRAOwnerDoubleBudget(t *testing.T) {
 }
 
 func TestDCRAOwnerFetchPriority(t *testing.T) {
-	p := MustNew(DCRA, 2, lims())
+	p := MustNew(DCRA, 2, iqSize)
 	snaps := []Snapshot{
 		{FrontEnd: 20, IQ: 20, OwnsROB: true, PendingDMiss: true},
 		{FrontEnd: 0, IQ: 0},
@@ -146,7 +146,7 @@ func TestDCRAOwnerFetchPriority(t *testing.T) {
 }
 
 func TestDCRAInactiveThreadsDoNotDilute(t *testing.T) {
-	p := MustNew(DCRA, 2, lims())
+	p := MustNew(DCRA, 2, iqSize)
 	// Only thread 0 is active for the IQ; its share is the whole queue.
 	snaps := []Snapshot{
 		{IQ: 50},
@@ -161,7 +161,7 @@ func TestDCRAInactiveThreadsDoNotDilute(t *testing.T) {
 
 func TestNonDCRANeverRefusesDispatch(t *testing.T) {
 	for _, k := range []Kind{ICOUNT, STALL, FLUSH} {
-		p := MustNew(k, 2, lims())
+		p := MustNew(k, 2, iqSize)
 		snaps := []Snapshot{{IQ: 63}, {IQ: 1}}
 		if !p.MayDispatchIQ(0, snaps) {
 			t.Errorf("%v refused dispatch", k)
@@ -171,7 +171,7 @@ func TestNonDCRANeverRefusesDispatch(t *testing.T) {
 
 func TestNames(t *testing.T) {
 	for _, k := range []Kind{ICOUNT, DCRA, STALL, FLUSH} {
-		p := MustNew(k, 2, lims())
+		p := MustNew(k, 2, iqSize)
 		if p.Name() != k.String() {
 			t.Errorf("%v name %q", k, p.Name())
 		}
@@ -179,7 +179,7 @@ func TestNames(t *testing.T) {
 }
 
 func TestMLPPolicyGating(t *testing.T) {
-	p := MustNew(MLP, 2, lims())
+	p := MustNew(MLP, 2, iqSize)
 	snaps := []Snapshot{
 		{PendingL2Miss: true, PredictedMLP: 0}, // isolated miss: gated
 		{PendingL2Miss: true, PredictedMLP: 4}, // parallel episode: fetches

@@ -53,7 +53,8 @@ type Job struct {
 	scheme experiments.SchemeSpec
 	mixes  []workload.Mix
 
-	//tlrob:allow(a queued Job carries its request context like http.Request; cancellation is wired to waiter disconnects)
+	// A queued Job carries its request context like http.Request;
+	// cancellation is wired to waiter disconnects.
 	ctx    context.Context
 	cancel context.CancelCauseFunc
 	done   chan struct{}

@@ -202,7 +202,8 @@ type Server struct {
 	seq      uint64
 	tag      string // NodeTag(cfg.SelfURL), or "" for untagged job IDs
 
-	//tlrob:allow(process-lifetime base context, the http.Server.BaseContext pattern; jobs derive from it)
+	// Process-lifetime base context (the http.Server.BaseContext
+	// pattern); jobs derive from it.
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 	workersWG  sync.WaitGroup

@@ -770,3 +770,25 @@ func TestSweepTelemetrySurfaces(t *testing.T) {
 		t.Fatalf("aggregated thread-cycles %d != 4 × %d run cycles", total+st.ActiveCycles, st.Cycles)
 	}
 }
+
+// TestEmitSkipsStalledSubscriber: a subscriber that stops reading must
+// not block the job. Events fan out under j.mu, so one blocking send
+// there would stall every later emit, finish and Snapshot of the job
+// behind a single slow event-stream client.
+func TestEmitSkipsStalledSubscriber(t *testing.T) {
+	j := &Job{subs: make(map[chan Event]bool), done: make(chan struct{}), status: StatusRunning}
+	_, stop := j.Subscribe() // never read
+	emitted := make(chan struct{})
+	go func() {
+		for i := 0; i < 200; i++ { // far past the subscriber's buffer
+			j.emit(Event{Type: "mix"})
+		}
+		close(emitted)
+	}()
+	select {
+	case <-emitted:
+		stop()
+	case <-time.After(10 * time.Second):
+		t.Fatal("emit blocked on a subscriber that stopped reading")
+	}
+}
