@@ -2,22 +2,10 @@ package tlrob
 
 import (
 	"math"
-	"os"
-	"path/filepath"
 	"testing"
 
-	"repro/internal/isa"
 	"repro/internal/metrics"
-	"repro/internal/trace"
-	"repro/internal/workload"
 )
-
-// small indirections so the trace test reads naturally
-func workloadProfile(name string) (workload.Profile, bool) { return workload.ProfileFor(name) }
-
-func workloadGenerator(p workload.Profile, seed uint64) (*workload.Generator, error) {
-	return workload.NewGenerator(p, seed)
-}
 
 const testBudget = 15_000
 
@@ -186,56 +174,5 @@ func TestRunBenchmarksValidation(t *testing.T) {
 	}
 	if _, err := RunBenchmarks("x", []string{"bogus"}, Options{Budget: testBudget}, nil); err == nil {
 		t.Fatal("unknown benchmark accepted")
-	}
-}
-
-func TestRunTraceFiles(t *testing.T) {
-	dir := t.TempDir()
-	prof, _ := workloadProfile("parser")
-	gen, err := workloadGenerator(prof, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, "p.trace")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := trace.NewWriter(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ti isa.TraceInst
-	for i := 0; i < 30000; i++ {
-		gen.Next(&ti)
-		if err := w.Write(&ti); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	res, err := RunTraceFiles([]string{path}, Options{Budget: testBudget})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Threads[0].IPC <= 0 {
-		t.Fatalf("trace run IPC %v", res.Threads[0].IPC)
-	}
-	// Replay must match the generator-driven run exactly.
-	direct, err := RunBenchmarks("parser", []string{"parser"}, Options{Budget: testBudget, Seed: 0},
-		map[string]float64{"parser": 1})
-	_ = direct
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if _, err := RunTraceFiles([]string{filepath.Join(dir, "missing.trace")}, Options{Budget: testBudget}); err == nil {
-		t.Fatal("missing trace file accepted")
-	}
-	if _, err := RunTraceFiles(nil, Options{}); err == nil {
-		t.Fatal("empty trace list accepted")
 	}
 }
