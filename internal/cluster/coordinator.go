@@ -11,7 +11,8 @@ import (
 	"net/http"
 	"net/http/httputil"
 	"net/url"
-	"sort"
+	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -312,6 +313,7 @@ type forwardResult struct {
 	status     int
 	body       []byte
 	retryAfter string // the worker's Retry-After header, if any
+	cache      string // the worker's server.CacheHeader: "hit", "miss" or ""
 	err        error
 	hedged     bool
 }
@@ -412,7 +414,7 @@ func (c *Coordinator) tryNode(ctx context.Context, node, path string, body []byt
 	if err != nil {
 		return forwardResult{node: node, err: err}
 	}
-	return forwardResult{node: node, status: resp.StatusCode, body: data, retryAfter: resp.Header.Get("Retry-After")}
+	return forwardResult{node: node, status: resp.StatusCode, body: data, retryAfter: resp.Header.Get("Retry-After"), cache: resp.Header.Get(server.CacheHeader)}
 }
 
 // Stats is the coordinator's observable state.
@@ -547,22 +549,22 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	if res.status >= 200 && res.status < 300 {
 		c.lat.Observe(time.Since(start))
-		var sub struct {
-			Cache string `json:"cache"`
-		}
-		if json.Unmarshal(res.body, &sub) == nil {
-			switch sub.Cache {
-			case "hit":
-				c.cacheHits.Add(1)
-			case "miss":
-				c.cacheMisses.Add(1)
-			}
+		switch res.cache {
+		case "hit":
+			c.cacheHits.Add(1)
+		case "miss":
+			c.cacheMisses.Add(1)
 		}
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Simd-Node", res.node)
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(res.body)))
+	h.Set("X-Simd-Node", res.node)
+	if res.cache != "" {
+		h.Set(server.CacheHeader, res.cache)
+	}
 	if res.hedged {
-		w.Header().Set("X-Simd-Hedged", "1")
+		h.Set("X-Simd-Hedged", "1")
 	}
 	if res.status == http.StatusTooManyRequests || res.status == http.StatusServiceUnavailable {
 		// Every replica pushed back; surface the last worker's own
@@ -571,7 +573,7 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		if ra == "" {
 			ra = "1"
 		}
-		w.Header().Set("Retry-After", ra)
+		h.Set("Retry-After", ra)
 	}
 	w.WriteHeader(res.status)
 	w.Write(res.body)
@@ -779,24 +781,31 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// latencyTracker keeps a fixed ring of recent forward latencies and
-// answers quantile queries over a sorted snapshot.
+// latencyTracker keeps a fixed ring of recent forward latencies and,
+// beside it, the same window sorted, so a quantile query is one index.
 type latencyTracker struct {
-	mu   sync.Mutex
-	buf  []time.Duration
-	n    int // total observed
-	next int
+	mu     sync.Mutex
+	buf    []time.Duration
+	sorted []time.Duration // buf's retained samples in ascending order
+	next   int
 }
 
 func newLatencyTracker(size int) *latencyTracker {
-	return &latencyTracker{buf: make([]time.Duration, size)}
+	return &latencyTracker{buf: make([]time.Duration, size), sorted: make([]time.Duration, 0, size)}
 }
 
+// Observe records d, dropping the oldest sample once the window is
+// full: two binary searches and two copies within sorted.
 func (l *latencyTracker) Observe(d time.Duration) {
 	l.mu.Lock()
+	if len(l.sorted) == len(l.buf) {
+		i, _ := slices.BinarySearch(l.sorted, l.buf[l.next])
+		l.sorted = slices.Delete(l.sorted, i, i+1)
+	}
+	i, _ := slices.BinarySearch(l.sorted, d)
+	l.sorted = slices.Insert(l.sorted, i, d)
 	l.buf[l.next] = d
 	l.next = (l.next + 1) % len(l.buf)
-	l.n++
 	l.mu.Unlock()
 }
 
@@ -804,17 +813,11 @@ func (l *latencyTracker) Observe(d time.Duration) {
 // or 0 before any observation.
 func (l *latencyTracker) Quantile(q float64) time.Duration {
 	l.mu.Lock()
-	n := l.n
-	if n > len(l.buf) {
-		n = len(l.buf)
-	}
-	snap := make([]time.Duration, n)
-	copy(snap, l.buf[:n])
-	l.mu.Unlock()
+	defer l.mu.Unlock()
+	n := len(l.sorted)
 	if n == 0 {
 		return 0
 	}
-	sort.Slice(snap, func(i, j int) bool { return snap[i] < snap[j] })
 	idx := int(q * float64(n-1))
 	if idx < 0 {
 		idx = 0
@@ -822,7 +825,7 @@ func (l *latencyTracker) Quantile(q float64) time.Duration {
 	if idx >= n {
 		idx = n - 1
 	}
-	return snap[idx]
+	return l.sorted[idx]
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

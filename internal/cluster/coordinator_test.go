@@ -921,3 +921,160 @@ func TestForwardHedgeLoserGoroutineExits(t *testing.T) {
 	// The deferred leakcheck.Check verifies the loser goroutine and the
 	// wedged handler both unwind once forward's cancel propagates.
 }
+
+// rawAnswer is one POST /v1/runs?wait=1 answer as it crossed the wire.
+type rawAnswer struct {
+	body          []byte
+	cacheHeader   string
+	contentLength int64
+	Cache         string          `json:"cache"`
+	Status        string          `json:"status"`
+	Result        json.RawMessage `json:"result"`
+}
+
+func postRaw(t *testing.T, baseURL string, spec server.RunSpec) rawAnswer {
+	t.Helper()
+	body, _ := json.Marshal(spec)
+	resp, err := http.Post(baseURL+"/v1/runs?wait=1", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	a := rawAnswer{cacheHeader: resp.Header.Get(server.CacheHeader), contentLength: resp.ContentLength}
+	if a.body, err = io.ReadAll(resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST %s -> %d: %s", baseURL, resp.StatusCode, a.body)
+	}
+	if err := json.Unmarshal(a.body, &a); err != nil {
+		t.Fatalf("answer from %s does not parse: %v\n%s", baseURL, err, a.body)
+	}
+	return a
+}
+
+// TestSubmitAnswersCarryStoredBytes: a fresh simulation, a memory hit,
+// a disk hit and a peer-filled hit answer one spec with the same result
+// bytes; every answer parses, its X-Simd-Cache header repeats its cache
+// field and its Content-Length is exact; and the coordinator counts
+// hits and misses from the header alone.
+func TestSubmitAnswersCarryStoredBytes(t *testing.T) {
+	dirs := []string{t.TempDir(), t.TempDir()}
+	workers, c := startFleet(t, 2, func(i int, cfg *server.Config) {
+		st, err := store.New(dirs[i], 1<<20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Store = st
+	})
+	front := httptest.NewServer(c.Handler())
+	defer front.Close()
+	spec := testSpec(11)
+	key := mustKey(t, spec)
+	owner, other := workers[0], workers[1]
+	if c.Owners(key)[0] != owner.url {
+		owner, other = other, owner
+	}
+	ownerDir := dirs[0]
+	if owner != workers[0] {
+		ownerDir = dirs[1]
+	}
+
+	miss := postRaw(t, front.URL, spec)
+	memHit := postRaw(t, front.URL, spec)
+	// A second node over the owner's cache directory starts with an
+	// empty memory tier, so it answers from disk.
+	st, err := store.New(ownerDir, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, _ := startWorker(t, func(cfg *server.Config) { cfg.Store = st; cfg.PeerFill = nil })
+	diskHit := postRaw(t, fresh.url, spec)
+	peerHit := postRaw(t, other.url, spec)
+
+	if got := st.Stats().DiskHits; got != 1 {
+		t.Fatalf("fresh node: %d disk hits, want 1", got)
+	}
+	if got := other.srv.Stats().PeerFillHits; got != 1 {
+		t.Fatalf("non-owner: %d peer fills, want 1", got)
+	}
+	for name, a := range map[string]rawAnswer{"miss": miss, "memory hit": memHit, "disk hit": diskHit, "peer hit": peerHit} {
+		wantCache := "hit"
+		if name == "miss" {
+			wantCache = "miss"
+		}
+		if a.Status != "done" || a.Cache != wantCache || a.cacheHeader != a.Cache {
+			t.Errorf("%s: status %q, cache %q, %s %q", name, a.Status, a.Cache, server.CacheHeader, a.cacheHeader)
+		}
+		if a.contentLength != int64(len(a.body)) {
+			t.Errorf("%s: Content-Length %d, body %d bytes", name, a.contentLength, len(a.body))
+		}
+		if !bytes.Equal(a.Result, miss.Result) {
+			t.Errorf("%s: result bytes differ from the simulated answer's", name)
+		}
+	}
+	if cs := c.Stats(); cs.CacheHits != 1 || cs.CacheMisses != 1 {
+		t.Fatalf("coordinator counted %d hits, %d misses; want 1 and 1", cs.CacheHits, cs.CacheMisses)
+	}
+
+	// A worker whose header says hit while its body names no cache is
+	// counted as a hit: the coordinator reads the header, not the body.
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set(server.CacheHeader, "hit")
+		io.WriteString(w, `{"status":"done"}`)
+	}))
+	defer stub.Close()
+	sc := startCoordinator(t, []string{stub.URL}, nil)
+	if r := submitVia(t, sc.Handler(), spec, ""); r.status != http.StatusOK {
+		t.Fatalf("stub submit: %+v", r)
+	}
+	if cs := sc.Stats(); cs.CacheHits != 1 || cs.CacheMisses != 0 {
+		t.Fatalf("header-only hit counted as %d hits, %d misses", cs.CacheHits, cs.CacheMisses)
+	}
+}
+
+// BenchmarkFleetHit times one memory-tier cache hit through an
+// in-process coordinator and one worker, over loopback HTTP on both
+// hops; -benchmem reports its bytes and allocations.
+func BenchmarkFleetHit(b *testing.B) {
+	st, err := store.New(b.TempDir(), 1<<20)
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv, err := server.New(server.Config{Store: st, Logf: b.Logf})
+	if err != nil {
+		b.Fatal(err)
+	}
+	node := httptest.NewServer(srv.Handler())
+	defer node.Close()
+	defer srv.Shutdown(context.Background())
+	c, err := NewCoordinator(CoordinatorConfig{Peers: []string{node.URL}, HealthInterval: time.Hour, Logf: b.Logf})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	front := httptest.NewServer(c.Handler())
+	defer front.Close()
+	body, _ := json.Marshal(server.RunSpec{Scheme: "rrob", Mixes: []string{"Mix 1"}, Budget: 1000, Seed: 1})
+	post := func() {
+		resp, err := http.Post(front.URL+"/v1/runs?wait=1", "application/json", bytes.NewReader(body))
+		if err != nil {
+			b.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			b.Fatalf("HTTP %d", resp.StatusCode)
+		}
+	}
+	post() // the miss that fills the cache
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		post()
+	}
+	b.StopTimer()
+	if st.Stats().Hits < uint64(b.N) {
+		b.Fatalf("%d memory hits for %d requests", st.Stats().Hits, b.N)
+	}
+}

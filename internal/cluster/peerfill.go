@@ -3,7 +3,6 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -88,7 +87,10 @@ func (p *PeerFiller) fetch(ctx context.Context, owner, key string) ([]byte, bool
 		return nil, false
 	}
 	data, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-	if err != nil || !json.Valid(data) {
+	if err != nil {
+		return nil, false
+	}
+	if data, err = store.Payload(data); err != nil {
 		return nil, false
 	}
 	return data, true

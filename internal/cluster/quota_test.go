@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -435,5 +436,34 @@ func TestLatencyTrackerQuantiles(t *testing.T) {
 	}
 	if got := l.Quantile(0.99); got != time.Millisecond {
 		t.Fatalf("p99 after window slide = %v", got)
+	}
+
+	// The incrementally sorted window answers as sorting a copy of the
+	// ring would, through duplicates and wraparound, and neither call
+	// allocates.
+	const size = 512
+	l = newLatencyTracker(size)
+	var all []time.Duration
+	want := func(q float64) time.Duration {
+		snap := slices.Clone(all[max(0, len(all)-size):])
+		slices.Sort(snap)
+		return snap[int(q*float64(len(snap)-1))]
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 2000; i++ {
+		d := time.Duration(rng.Intn(300)) * time.Microsecond // few values: many duplicates
+		l.Observe(d)
+		all = append(all, d)
+		for _, q := range []float64{0, 0.5, 0.95, 1} {
+			if got := l.Quantile(q); got != want(q) {
+				t.Fatalf("after %d observations: Quantile(%v) = %v, want %v", i+1, q, got, want(q))
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { l.Quantile(0.95) }); n != 0 {
+		t.Fatalf("Quantile allocates %v times per call", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { l.Observe(time.Millisecond) }); n != 0 {
+		t.Fatalf("Observe allocates %v times per call", n)
 	}
 }

@@ -41,13 +41,18 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// submitResponse is the POST /v1/runs body.
+// CacheHeader names the response header on every POST /v1/runs answer
+// that repeats the body's cache field ("hit" or "miss"), so a router
+// can count hits without parsing the body.
+const CacheHeader = "X-Simd-Cache"
+
+// submitResponse is the POST /v1/runs body without its result, which
+// writeSubmit appends as the stored bytes.
 type submitResponse struct {
-	ID     string          `json:"id,omitempty"`
-	Status Status          `json:"status"`
-	Cache  string          `json:"cache"` // "hit" | "miss"
-	Error  string          `json:"error,omitempty"`
-	Result json.RawMessage `json:"result,omitempty"`
+	ID     string `json:"id,omitempty"`
+	Status Status `json:"status"`
+	Cache  string `json:"cache"` // "hit" | "miss"
+	Error  string `json:"error,omitempty"`
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -78,11 +83,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if cached != nil {
-		writeJSON(w, http.StatusOK, submitResponse{Status: StatusDone, Cache: "hit", Result: cached})
+		writeSubmit(w, http.StatusOK, submitResponse{Status: StatusDone, Cache: "hit"}, cached)
 		return
 	}
 	if !wait {
-		writeJSON(w, http.StatusAccepted, submitResponse{ID: job.ID, Status: job.Status(), Cache: "miss"})
+		writeSubmit(w, http.StatusAccepted, submitResponse{ID: job.ID, Status: job.Status(), Cache: "miss"}, nil)
 		return
 	}
 	// Synchronous mode: the request context is the client's lifetime —
@@ -96,21 +101,20 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	job.Release()
 	snap := job.Snapshot()
-	resp := submitResponse{ID: snap.ID, Status: snap.Status, Cache: "miss", Error: snap.Error, Result: snap.Result}
 	code := http.StatusOK
 	if snap.Status != StatusDone {
 		code = http.StatusInternalServerError
 	}
-	writeJSON(w, code, resp)
+	writeSubmit(w, code, submitResponse{ID: snap.ID, Status: snap.Status, Cache: "miss", Error: snap.Error}, snap.Result)
 }
 
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.Job(r.PathValue("id"))
+	snap, ok := s.Snapshot(r.PathValue("id"))
 	if !ok {
 		writeError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
 		return
 	}
-	writeJSON(w, http.StatusOK, job.Snapshot())
+	writeJSON(w, http.StatusOK, snap)
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
@@ -189,7 +193,8 @@ func (s *Server) handleCachePut(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("read body: %w", err))
 		return
 	}
-	if !json.Valid(data) {
+	data, err = store.Payload(data)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("key %s: payload is not JSON", key[:12]))
 		return
 	}
@@ -266,6 +271,38 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	for _, cause := range causes {
 		fmt.Fprintf(w, "simd_stall_cycles_total{cause=%q} %d\n", cause, st.StallCycles[cause])
 	}
+}
+
+// writeSubmit answers a submission with resp and, if result is set,
+// `,"result":` and result spliced in as they are. Stored results are
+// compact JSON already: a worker's own json.Marshal output, or bytes
+// that store.Payload normalised on their way in from a peer. So memory,
+// disk, peer fill and a fresh simulation all answer one spec with the
+// same bytes, and no answer re-encodes them.
+func writeSubmit(w http.ResponseWriter, code int, resp submitResponse, result []byte) {
+	head, err := json.Marshal(resp)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err)
+		return
+	}
+	const field = `,"result":`
+	n := len(head) + 1 // the closing newline
+	if len(result) > 0 {
+		n += len(field) + len(result)
+	}
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(n))
+	h.Set(CacheHeader, resp.Cache)
+	w.WriteHeader(code)
+	if len(result) > 0 {
+		w.Write(head[:len(head)-1])
+		io.WriteString(w, field)
+		w.Write(result)
+		head = head[len(head)-1:]
+	}
+	w.Write(head)
+	io.WriteString(w, "\n")
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

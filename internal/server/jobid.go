@@ -3,7 +3,10 @@ package server
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
+	"strconv"
+	"strings"
+
+	"repro/internal/store"
 )
 
 // nodeTagLen is the width, in hex characters, of the node tag that
@@ -19,7 +22,8 @@ func NodeTag(self string) string {
 	return hex.EncodeToString(sum[:nodeTagLen/2])
 }
 
-// JobNodeTag returns the node tag of a tagged job ID ("<tag>-<key>-<n>").
+// JobNodeTag returns the node tag of a tagged job ID ("<tag>-<key>-<n>",
+// where key is the job's full 64-character cache key).
 // ok is false for IDs minted without Config.SelfURL, and for any string
 // that does not start with 16 lower-case hex characters and a dash.
 func JobNodeTag(id string) (tag string, ok bool) {
@@ -35,12 +39,35 @@ func JobNodeTag(id string) (tag string, ok bool) {
 }
 
 // jobID names the seq-th job a server created, for cache key key. tag
-// is the server's NodeTag, or empty for untagged IDs. Untagged IDs have
-// their dash at index 12, so JobNodeTag never mistakes one for tagged.
+// is the server's NodeTag, or empty for untagged IDs. Untagged IDs start
+// with the 64-character key, so JobNodeTag never mistakes one for
+// tagged.
 func jobID(tag, key string, seq uint64) string {
-	id := fmt.Sprintf("%s-%d", key[:12], seq)
+	id := key + "-" + strconv.FormatUint(seq, 10)
 	if tag == "" {
 		return id
 	}
 	return tag + "-" + id
+}
+
+// parseJobID inverts jobID for a server whose tag is tag: it returns
+// the cache key and sequence number of an ID that server could have
+// minted.
+func parseJobID(tag, id string) (key string, seq uint64, ok bool) {
+	if tag != "" {
+		rest, found := strings.CutPrefix(id, tag+"-")
+		if !found {
+			return "", 0, false
+		}
+		id = rest
+	}
+	key, n, found := strings.Cut(id, "-")
+	if !found || !store.ValidKey(key) {
+		return "", 0, false
+	}
+	seq, err := strconv.ParseUint(n, 10, 64)
+	if err != nil || seq == 0 {
+		return "", 0, false
+	}
+	return key, seq, true
 }

@@ -190,6 +190,13 @@ type Stats struct {
 	ActiveCycles uint64
 }
 
+// maxJobs bounds the jobs a server keeps for status polls and event
+// streams: past it, finished jobs are forgotten oldest first (jobs
+// still queued or running are always kept). A poll of a forgotten ID
+// that ended done is answered from the store, since the ID carries the
+// job's cache key.
+const maxJobs = 256
+
 // Server owns the queue, the workers and the job registry.
 type Server struct {
 	cfg   Config
@@ -198,6 +205,7 @@ type Server struct {
 	mu       sync.Mutex
 	draining bool
 	jobs     map[string]*Job // by job ID, for status lookups
+	order    []*Job          // the jobs in jobs, oldest first
 	active   map[string]*Job // by cache key, for singleflight
 	seq      uint64
 	tag      string // NodeTag(cfg.SelfURL), or "" for untagged job IDs
@@ -372,18 +380,40 @@ func (s *Server) Submit(ctx context.Context, spec RunSpec, detach bool) (*Job, [
 		return nil, nil, ErrQueueFull
 	}
 	s.jobs[id] = j
+	s.order = append(s.order, j)
 	s.active[key] = j
 	s.mu.Unlock()
 	j.emit(Event{Type: "queued", Total: len(mixes)})
 	return j, nil, nil
 }
 
-// Job returns a submitted job by ID.
+// Job returns a submitted job by ID, while the server still keeps it.
 func (s *Server) Job(id string) (*Job, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	j, ok := s.jobs[id]
 	return j, ok
+}
+
+// Snapshot returns a job's state by ID. A job the server no longer
+// keeps is reported done with the stored result if this server minted
+// the ID and the store holds its key; its spec and times are gone.
+func (s *Server) Snapshot(id string) (Snapshot, bool) {
+	if j, ok := s.Job(id); ok {
+		return j.Snapshot(), true
+	}
+	key, seq, ok := parseJobID(s.tag, id)
+	s.mu.Lock()
+	minted := ok && seq <= s.seq
+	s.mu.Unlock()
+	if !minted {
+		return Snapshot{}, false
+	}
+	data, ok := s.cfg.Store.Get(key)
+	if !ok {
+		return Snapshot{}, false
+	}
+	return Snapshot{ID: id, Status: StatusDone, Result: data}, true
 }
 
 // Cancel cancels a queued or running job. It reports whether the job
@@ -477,12 +507,30 @@ func cancelReason(ctx context.Context, err error) string {
 	return err.Error()
 }
 
+// unregister runs once per job, after it finished: the job stops
+// taking submitters, its context leaves the server's base context
+// (which would otherwise keep it as a child for the process lifetime),
+// and the oldest finished jobs beyond maxJobs are forgotten.
 func (s *Server) unregister(j *Job) {
+	defer j.cancel(context.Canceled) // after s.active no longer names j
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.active[j.Key] == j {
 		delete(s.active, j.Key)
 	}
-	s.mu.Unlock()
+	if len(s.jobs) <= maxJobs {
+		return
+	}
+	kept := s.order[:0]
+	for _, o := range s.order {
+		if len(s.jobs) > maxJobs && o.Status().terminal() {
+			delete(s.jobs, o.ID)
+			continue
+		}
+		kept = append(kept, o)
+	}
+	clear(s.order[len(kept):])
+	s.order = kept
 }
 
 // runSweep executes the job's sweep, streaming per-mix progress into the

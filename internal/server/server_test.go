@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -428,6 +429,12 @@ func TestShutdownDrains(t *testing.T) {
 	}
 }
 
+// submitBody decodes a whole POST /v1/runs answer.
+type submitBody struct {
+	submitResponse
+	Result json.RawMessage `json:"result"`
+}
+
 // TestHTTPEndToEnd drives the full HTTP surface: submit, poll, events,
 // cache hit on resubmission, metrics.
 func TestHTTPEndToEnd(t *testing.T) {
@@ -440,7 +447,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var first submitResponse
+	var first submitBody
 	if err := json.NewDecoder(resp.Body).Decode(&first); err != nil {
 		t.Fatal(err)
 	}
@@ -454,7 +461,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var second submitResponse
+	var second submitBody
 	if err := json.NewDecoder(resp.Body).Decode(&second); err != nil {
 		t.Fatal(err)
 	}
@@ -474,7 +481,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var async submitResponse
+	var async submitBody
 	json.NewDecoder(resp.Body).Decode(&async)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusAccepted || async.ID == "" {
@@ -790,5 +797,101 @@ func TestEmitSkipsStalledSubscriber(t *testing.T) {
 		stop()
 	case <-time.After(10 * time.Second):
 		t.Fatal("emit blocked on a subscriber that stopped reading")
+	}
+}
+
+// TestFinishedJobsBounded: a long run of misses keeps at most maxJobs
+// jobs and a flat live heap; a poll of a forgotten ID is answered done
+// with the stored result, and its event stream is gone.
+func TestFinishedJobsBounded(t *testing.T) {
+	s := newTestServer(t, func(c *Config) {
+		// A small memory tier, so the store's own growth is its disk
+		// index alone (about 120 B per key).
+		st, err := store.New(t.TempDir(), 16<<10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Store = st
+		c.SelfURL = "http://w.test"
+	})
+	s.simulate = func(ctx context.Context, j *Job) (report.Series, int64, error) {
+		j.emit(Event{Type: "mix", Mix: "Mix 1", Completed: 1, Total: 1})
+		return report.Series{Label: j.Key}, 1, nil
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	miss := func(seed uint64) *Job {
+		spec := tinySpec()
+		spec.Seed = seed
+		j, cached, err := s.Submit(context.Background(), spec, false)
+		if err != nil || cached != nil {
+			t.Fatalf("seed %d: cached %q, err %v", seed, cached, err)
+		}
+		<-j.Done() // not waitDone: its 60 s timers would stay live
+		j.Release()
+		return j
+	}
+	liveHeap := func() uint64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	const maxGrowth = 384 << 10 // 256 B per miss over the last 1,500
+	first := miss(1)
+	for seed := uint64(2); seed <= 500; seed++ {
+		miss(seed)
+	}
+	h500 := liveHeap()
+	for seed := uint64(501); seed <= 2000; seed++ {
+		miss(seed)
+	}
+	h2000 := liveHeap()
+	t.Logf("live heap after 500 misses %d B, after 2000 %d B", h500, h2000)
+	if h2000 > h500+maxGrowth {
+		t.Errorf("live heap grew %d B over 1,500 misses, want under %d", h2000-h500, maxGrowth)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		s.mu.Lock()
+		n := len(s.jobs)
+		s.mu.Unlock()
+		if n <= maxJobs {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d jobs kept after 2000 misses, want at most %d", n, maxJobs)
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	if _, kept := s.Job(first.ID); kept {
+		t.Fatalf("job %s still kept after 2000 newer ones", first.ID)
+	}
+	resp, err := http.Get(ts.URL + "/v1/runs/" + first.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap Snapshot
+	err = json.NewDecoder(resp.Body).Decode(&snap)
+	resp.Body.Close()
+	want, _ := first.Result()
+	var got bytes.Buffer
+	if err == nil {
+		err = json.Compact(&got, snap.Result)
+	}
+	if resp.StatusCode != http.StatusOK || err != nil || snap.ID != first.ID || snap.Status != StatusDone || !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("poll of forgotten job: %d %+v (err %v), want done with %s", resp.StatusCode, snap, err, want)
+	}
+	never := jobID(s.tag, first.Key, 1_000_000)
+	for _, path := range []string{"/v1/runs/" + first.ID + "/events", "/v1/runs/" + never} {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("GET %s -> %d, want 404", path, resp.StatusCode)
+		}
 	}
 }

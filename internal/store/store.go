@@ -55,6 +55,15 @@ func Canonical(v any) ([]byte, error) {
 	return json.Marshal(tree) // map keys are emitted sorted
 }
 
+// Payload validates data as one JSON document and returns it in the
+// form the store keeps and a disk read returns: compact, with HTML
+// characters escaped, as json.Marshal writes it. A result that arrives
+// from a peer goes through Payload before Put, so every tier holds, and
+// every answer carries, the same bytes for a key.
+func Payload(data []byte) ([]byte, error) {
+	return json.Marshal(json.RawMessage(data))
+}
+
 // Stats are the store's monotonic counters plus current occupancy.
 type Stats struct {
 	Hits        uint64 // served from memory

@@ -84,7 +84,9 @@ func TestSingleIPCsUnknownNames(t *testing.T) {
 
 // TestSingleIPCsIgnoreTelemetry: reference runs keep only the IPC, so
 // asking for telemetry neither changes the map nor builds a collector
-// for each reference machine.
+// for each reference machine. Each side's bytes are the minimum of
+// three calls, so a garbage collection that empties the machine pool
+// during one call cannot decide the comparison.
 func TestSingleIPCsIgnoreTelemetry(t *testing.T) {
 	names := []string{"art", "gzip"}
 	plain := Options{Budget: 4_000}
@@ -103,13 +105,17 @@ func TestSingleIPCsIgnoreTelemetry(t *testing.T) {
 		t.Fatalf("telemetry changed the reference IPCs: %v vs %v", on, off)
 	}
 	allocMB := func(opt Options) float64 {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		if _, err := SingleIPCs(names, opt); err != nil {
-			t.Fatal(err)
+		best := ^uint64(0)
+		for i := 0; i < 3; i++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := SingleIPCs(names, opt); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			best = min(best, after.TotalAlloc-before.TotalAlloc)
 		}
-		runtime.ReadMemStats(&after)
-		return float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
+		return float64(best) / (1 << 20)
 	}
 	if a, b := allocMB(traced), allocMB(plain); a > 1.1*b {
 		t.Fatalf("reference runs with Telemetry set allocated %.2f MB, without %.2f MB", a, b)
