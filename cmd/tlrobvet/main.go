@@ -1,10 +1,8 @@
 // Command tlrobvet is the repository's static-analysis gate: it runs
-// the stock `go vet` suite plus the four custom analyzers that each
+// the stock `go vet` suite plus the three custom analyzers that each
 // catch a bug no test, race run or fuzz target catches (the mutant
 // matrix in docs/ANALYSIS.md) —
 //
-//	allocfree     //tlrob:allocfree regions contain no heap-allocating
-//	              constructs (the static half of the malloc-count tests)
 //	determinism   no wall clock or math/rand in sim-core packages; no
 //	              unsorted map iteration feeding output (cache keys and
 //	              golden files depend on bit-identical runs)
@@ -16,16 +14,15 @@
 //
 // Usage:
 //
-//	go run ./cmd/tlrobvet [-novet] [-list] [-json] [-out file] [-v] [packages]
+//	go run ./cmd/tlrobvet [-novet] [-list] [-out file] [packages]
 //
 // Packages default to ./... relative to the current directory. All
 // packages are loaded once, via a single `go list -export -deps -json`
-// pass shared by every analyzer; -v prints each analyzer's wall time
-// to stderr. -json replaces the text output on stdout with NDJSON
-// records {"file","line","analyzer","message"}; -out writes the same
-// NDJSON to a file while keeping text on stdout, which is how CI both
-// annotates the diff (problem matcher over the text) and archives the
-// findings (artifact from the file).
+// pass shared by every analyzer. Findings print as text on stdout;
+// -out also writes them to a file as NDJSON records
+// {"file","line","analyzer","message"}, which is how CI both annotates
+// the diff (problem matcher over the text) and archives the findings
+// (artifact from the file).
 //
 // The exit status is non-zero if go vet fails or any analyzer reports
 // a diagnostic. Suppress a finding with //tlrob:allow(reason) on the
@@ -36,20 +33,17 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
 
 	"repro/internal/analysis"
-	"repro/internal/analysis/allocfree"
 	"repro/internal/analysis/bodyclose"
 	"repro/internal/analysis/determinism"
 	"repro/internal/analysis/golifecycle"
 )
 
 var analyzers = []*analysis.Analyzer{
-	allocfree.Analyzer,
 	bodyclose.Analyzer,
 	determinism.Analyzer,
 	golifecycle.Analyzer,
@@ -66,9 +60,7 @@ type ndjsonRecord struct {
 func main() {
 	novet := flag.Bool("novet", false, "skip the stock go vet passes")
 	list := flag.Bool("list", false, "list the custom analyzers and exit")
-	asJSON := flag.Bool("json", false, "emit diagnostics as NDJSON on stdout instead of text")
-	outFile := flag.String("out", "", "additionally write NDJSON diagnostics to this file")
-	verbose := flag.Bool("v", false, "print per-analyzer wall time to stderr")
+	outFile := flag.String("out", "", "also write the diagnostics to this file as NDJSON")
 	flag.Parse()
 	if *list {
 		for _, a := range analyzers {
@@ -96,15 +88,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	diags, timings, err := analysis.RunTimed(pkgs, analyzers)
+	diags, err := analysis.Run(pkgs, analyzers)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
-	}
-	if *verbose {
-		for _, tm := range timings {
-			fmt.Fprintf(os.Stderr, "tlrobvet: %-14s %8.1fms\n", tm.Analyzer, float64(tm.Elapsed.Microseconds())/1000)
-		}
 	}
 
 	cwd, _ := os.Getwd()
@@ -121,21 +108,17 @@ func main() {
 			Analyzer: d.Analyzer,
 			Message:  d.Message,
 		})
-		if *asJSON {
-			continue // NDJSON replaces the text lines below
-		}
 		fmt.Println(d)
-	}
-	if *asJSON {
-		if err := writeNDJSON(os.Stdout, records); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
 	}
 	if *outFile != "" {
 		f, err := os.Create(*outFile)
 		if err == nil {
-			err = writeNDJSON(f, records)
+			enc := json.NewEncoder(f)
+			for _, r := range records {
+				if err = enc.Encode(r); err != nil {
+					break
+				}
+			}
 			if cerr := f.Close(); err == nil {
 				err = cerr
 			}
@@ -152,14 +135,4 @@ func main() {
 	if failed {
 		os.Exit(1)
 	}
-}
-
-func writeNDJSON(w io.Writer, records []ndjsonRecord) error {
-	enc := json.NewEncoder(w)
-	for _, r := range records {
-		if err := enc.Encode(r); err != nil {
-			return err
-		}
-	}
-	return nil
 }

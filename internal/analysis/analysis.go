@@ -1,11 +1,10 @@
 // Package analysis is a small, self-contained static-analysis framework
-// modeled on golang.org/x/tools/go/analysis. It exists because the
-// repository's load-bearing invariants — allocation-free hot paths,
-// bit-identical determinism, exhaustive stall accounting, context
-// discipline — are otherwise enforced only dynamically (malloc-count
-// tests, cache-key divergence, CheckInvariant). Like the paper's DoD
-// check, a cheap static approximation at build time replaces an
-// expensive dynamic failure later.
+// modeled on golang.org/x/tools/go/analysis. It exists because some of
+// the repository's load-bearing invariants — bit-identical determinism,
+// goroutine lifecycles, closed response bodies — are otherwise enforced
+// only dynamically (cache-key divergence, leak checks) or not at all.
+// Like the paper's DoD check, a cheap static approximation at build
+// time replaces an expensive dynamic failure later.
 //
 // The framework deliberately mirrors the x/tools API surface (Analyzer,
 // Pass, Reportf, analysistest-style want comments) so the analyzers can
@@ -30,7 +29,6 @@ import (
 	"go/types"
 	"sort"
 	"strings"
-	"time"
 )
 
 // An Analyzer is one static check. Run inspects a single package via
@@ -79,30 +77,15 @@ func (d Diagnostic) String() string {
 // Run applies every analyzer to every package, filters suppressed
 // diagnostics, and returns the remainder sorted by file, line, column,
 // analyzer — a deterministic order suitable for golden CI output.
+// Suppression maps are computed once per package and shared by all
+// analyzers.
 func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	diags, _, err := RunTimed(pkgs, analyzers)
-	return diags, err
-}
-
-// A Timing is one analyzer's wall-clock cost summed over every
-// package it ran on.
-type Timing struct {
-	Analyzer string
-	Elapsed  time.Duration
-}
-
-// RunTimed is Run plus a per-analyzer wall-time breakdown, so the lint
-// job can show where its budget goes as the suite grows. Suppression
-// maps are computed once per package and shared by all analyzers.
-func RunTimed(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, []Timing, error) {
 	allows := make([]map[lineKey]bool, len(pkgs))
 	for i, pkg := range pkgs {
 		allows[i] = allowedLines(pkg.Fset, pkg.Files)
 	}
 	var diags []Diagnostic
-	timings := make([]Timing, 0, len(analyzers))
 	for _, a := range analyzers {
-		start := time.Now()
 		for i, pkg := range pkgs {
 			allow := allows[i]
 			pass := &Pass{
@@ -118,13 +101,12 @@ func RunTimed(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, []Timing, e
 				},
 			}
 			if err := a.Run(pass); err != nil {
-				return nil, nil, fmt.Errorf("%s: %s: %w", pkg.ImportPath, a.Name, err)
+				return nil, fmt.Errorf("%s: %s: %w", pkg.ImportPath, a.Name, err)
 			}
 		}
-		timings = append(timings, Timing{Analyzer: a.Name, Elapsed: time.Since(start)})
 	}
 	Sort(diags)
-	return diags, timings, nil
+	return diags, nil
 }
 
 // Sort orders diagnostics by file, line, column, analyzer, message.
@@ -146,6 +128,13 @@ func Sort(diags []Diagnostic) {
 		return a.Message < b.Message
 	})
 }
+
+// AllowDirective suppresses all diagnostics on its own line and the
+// next line. It follows the Go directive-comment convention (no space
+// after //), so gofmt leaves it alone and godoc hides it. A
+// parenthesized reason is required by convention:
+// //tlrob:allow(cold error path).
+const AllowDirective = "//tlrob:allow"
 
 type lineKey struct {
 	file string

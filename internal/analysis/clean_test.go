@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/analysis"
-	"repro/internal/analysis/allocfree"
 	"repro/internal/analysis/bodyclose"
 	"repro/internal/analysis/determinism"
 	"repro/internal/analysis/golifecycle"
@@ -15,10 +14,10 @@ import (
 
 // TestRepoTipIsClean is the acceptance gate in test form: the whole
 // module, at the current tip, must produce zero diagnostics from every
-// analyzer in the suite. A failure here means a hot path grew an
-// allocation, a nondeterministic iteration crept toward an output, a
-// goroutine escaped its owner's shutdown, or a response body was left
-// open — exactly the regressions the suite exists to stop.
+// analyzer in the suite. A failure here means a nondeterministic
+// iteration crept toward an output, a goroutine escaped its owner's
+// shutdown, or a response body was left open — exactly the regressions
+// the suite exists to stop.
 func TestRepoTipIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the whole module")
@@ -36,7 +35,6 @@ func TestRepoTipIsClean(t *testing.T) {
 		t.Fatalf("suspiciously few packages loaded: %d", len(pkgs))
 	}
 	diags, err := analysis.Run(pkgs, []*analysis.Analyzer{
-		allocfree.Analyzer,
 		bodyclose.Analyzer,
 		determinism.Analyzer,
 		golifecycle.Analyzer,

@@ -102,8 +102,6 @@ func (q *IQ) Tick() {
 // FastForward accumulates k cycles of occupancy statistics in one step —
 // the closed form of k consecutive Tick calls with no intervening
 // insert, issue or squash.
-//
-//tlrob:allocfree
 func (q *IQ) FastForward(k int64) {
 	q.stats.OccupancySum += uint64(q.count) * uint64(k)
 	q.stats.Cycles += uint64(k)
@@ -112,8 +110,6 @@ func (q *IQ) FastForward(k int64) {
 // HasReady reports whether any live entry has both operands available.
 // While true, every cycle must be simulated: selection would issue the
 // entry, or re-discover an FU or LSQ conflict (which is itself counted).
-//
-//tlrob:allocfree
 func (q *IQ) HasReady() bool {
 	for _, w := range q.ready {
 		if w != 0 {

@@ -317,7 +317,6 @@ func (c *CPU) Run(budget uint64) (Result, error) {
 			break
 		}
 		if c.advance(maxCycles) {
-			//tlrob:allow(cold: terminal error path, runs at most once per simulation)
 			return Result{}, fmt.Errorf("pipeline: no thread reached %d commits within %d cycles (deadlock or budget too large)", budget, maxCycles)
 		}
 	}
@@ -346,8 +345,6 @@ func watchdogCycles(budget uint64, cfgMax int64) int64 {
 
 // stepCycle simulates exactly cycle c.now — every stage, in order — and
 // reports whether a thread reached its commit budget (the stop rule).
-//
-//tlrob:allocfree (the per-cycle body: every call is one simulated cycle)
 func (c *CPU) stepCycle(budget uint64) bool {
 	c.stepped++
 	c.telState.Reset()
@@ -408,8 +405,6 @@ func (c *CPU) result() Result {
 // taken and the cycle committed to the collector. Runs only when
 // telemetry is enabled; the state is reset at the top of the next
 // stepCycle.
-//
-//tlrob:allocfree
 func (c *CPU) recordTelemetry() {
 	st := c.telState
 	for t := range c.threads {
@@ -442,8 +437,6 @@ func (c *CPU) recordTelemetry() {
 // FLUSH policy, or whose next real-path instructions sit in the replay
 // queue because a squash put them there, is blocked by the squash — not
 // by the I-cache or the front-end pipeline depth.
-//
-//tlrob:allocfree
 func (c *CPU) starvedCause(th *thread) telemetry.Cause {
 	if th.flushWait || (th.squashRefill && th.replay.len() > 0) {
 		return telemetry.CauseSquashRefill
@@ -452,8 +445,6 @@ func (c *CPU) starvedCause(th *thread) telemetry.Cause {
 }
 
 // buildSnapshots refreshes the per-thread state the policy decides from.
-//
-//tlrob:allocfree
 func (c *CPU) buildSnapshots() {
 	for t := range c.threads {
 		th := &c.threads[t]

@@ -453,28 +453,41 @@ func TestCommitHookSeesProgramOrder(t *testing.T) {
 
 // TestRunHeapFlatInBudget requires the heap CPU.Run allocates to stay
 // nearly flat as the instruction budget grows 16-fold, in bytes and in
-// objects, under each of the four schemes perfbench runs: per-cycle
-// state (the front-end ring, replay queues, event heap) is sized by the
-// machine, not by how long it runs, and no per-miss or per-grant path
-// allocates. From a 5k to an 80k budget the model grows by at most
-// 51 KB and 871 objects (CDR-ROB15 on Mix 1: caches build their sets
-// lazily as the run first touches them), within maxGrowth and
-// maxObjects with a wide margin; one string per grant release adds
+// objects: per-cycle state (the front-end ring, replay queues, event
+// heap) is sized by the machine, not by how long it runs, and no
+// per-miss or per-grant path allocates. It is the allocation gate for
+// the per-cycle code, so it runs every ROB scheme under the default
+// DCRA policy and every other fetch policy under R-ROB16, on a
+// memory-bound and a compute-bound mix. From a 5k to an 80k budget the
+// model grows by at most about 51 KB and 909 objects (caches build
+// their sets lazily as the run first touches them), within maxGrowth
+// and maxObjects with a wide margin; one string per grant release adds
 // about 2,000 objects under R-ROB16 and one fmt.Sprintf per predicted
 // denial about 28,000 under P-ROB5.
 func TestRunHeapFlatInBudget(t *testing.T) {
 	const maxGrowth, maxObjects = 128 << 10, 1536
-	schemes := []struct {
+	rrob16 := rob.DefaultConfig(4, rob.Reactive, 16)
+	cases := []struct {
 		name string
 		rob  rob.Config
+		pol  policy.Kind
 	}{
-		{"Baseline_32", rob.Config{Threads: 4, L1Size: 32, Scheme: rob.Baseline}},
-		{"R-ROB16", rob.DefaultConfig(4, rob.Reactive, 16)},
-		{"CDR-ROB15", rob.DefaultConfig(4, rob.CountDelayedReactive, 15)},
-		{"P-ROB5", rob.DefaultConfig(4, rob.Predictive, 5)},
+		{"Baseline_32", rob.Config{Threads: 4, L1Size: 32, Scheme: rob.Baseline}, policy.DCRA},
+		{"Baseline_128", rob.Config{Threads: 4, L1Size: 128, Scheme: rob.Baseline}, policy.DCRA},
+		{"Shared", rob.Config{Threads: 4, L1Size: 32, Scheme: rob.SharedSingle}, policy.DCRA},
+		{"R-ROB16", rrob16, policy.DCRA},
+		{"Relaxed R-ROB15", rob.DefaultConfig(4, rob.RelaxedReactive, 15), policy.DCRA},
+		{"CDR-ROB15", rob.DefaultConfig(4, rob.CountDelayedReactive, 15), policy.DCRA},
+		{"P-ROB5", rob.DefaultConfig(4, rob.Predictive, 5), policy.DCRA},
+		{"R-ROB16/ICOUNT", rrob16, policy.ICOUNT},
+		{"R-ROB16/STALL", rrob16, policy.STALL},
+		{"R-ROB16/FLUSH", rrob16, policy.FLUSH},
+		{"R-ROB16/MLP", rrob16, policy.MLP},
 	}
-	runAlloc := func(rc rob.Config, mixName string, budget uint64) (bytes, objects uint64) {
-		c, err := New(DefaultConfig(4, rc), mixSources(t, mixName, 1))
+	runAlloc := func(rc rob.Config, pol policy.Kind, mixName string, budget uint64) (bytes, objects uint64) {
+		cfg := DefaultConfig(4, rc)
+		cfg.PolicyKind = pol
+		c, err := New(cfg, mixSources(t, mixName, 1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -486,10 +499,10 @@ func TestRunHeapFlatInBudget(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		return after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs
 	}
-	for _, sc := range schemes {
+	for _, sc := range cases {
 		for _, mix := range []string{"Mix 1", "Mix 10"} {
-			shortB, shortN := runAlloc(sc.rob, mix, 5_000)
-			longB, longN := runAlloc(sc.rob, mix, 80_000)
+			shortB, shortN := runAlloc(sc.rob, sc.pol, mix, 5_000)
+			longB, longN := runAlloc(sc.rob, sc.pol, mix, 80_000)
 			t.Logf("%s %s: Run allocates %d B in %d objects at 5k, %d B in %d objects at 80k", sc.name, mix, shortB, shortN, longB, longN)
 			if longB > shortB+maxGrowth {
 				t.Errorf("%s %s: Run's heap grows %d B from a 5k to an 80k budget, want under %d", sc.name, mix, longB-shortB, maxGrowth)

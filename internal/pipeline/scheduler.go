@@ -23,8 +23,6 @@ import (
 // interesting cycle when it is provably idle, charging the skipped span
 // in closed form. It returns true when the deadlock watchdog fires —
 // on exactly the cycle the naive ticker would have reached it.
-//
-//tlrob:allocfree
 func (c *CPU) advance(maxCycles int64) bool {
 	next := c.now + 1
 	if c.skipAhead {
@@ -68,8 +66,6 @@ func (c *CPU) advance(maxCycles int64) bool {
 //     c.order is a pure function of snapshots, which are frozen across
 //     an idle span) wakes when its fetch stall expires; if it could
 //     fetch right now, the next cycle must be simulated.
-//
-//tlrob:allocfree
 func (c *CPU) nextInterestingCycle() int64 {
 	next := c.now + 1
 	for t := range c.threads {
@@ -168,8 +164,6 @@ func (c *CPU) nextInterestingCycle() int64 {
 // statistics, the policy's fetch rotor, the dispatch and commit
 // round-robin offsets, and — when telemetry is on — the stall,
 // occupancy and sample accounting, cause-by-cause.
-//
-//tlrob:allocfree
 func (c *CPU) skipTo(from, to int64) {
 	k := to - from
 	n := int64(c.cfg.Threads)

@@ -33,7 +33,6 @@ func (q *feQueue) wrap(i int) int {
 	return i
 }
 
-//tlrob:allocfree
 func (q *feQueue) push(e feEntry) {
 	if q.n == len(q.buf) {
 		panic("pipeline: front-end queue overflow")
@@ -44,7 +43,6 @@ func (q *feQueue) push(e feEntry) {
 
 func (q *feQueue) peek() *feEntry { return &q.buf[q.head] }
 
-//tlrob:allocfree
 func (q *feQueue) pop() feEntry {
 	e := q.buf[q.head]
 	q.head = q.wrap(q.head + 1)
@@ -231,7 +229,6 @@ func (c *CPU) fetchThread(tid int, th *thread, limit int) int {
 
 // ---- dispatch ----
 
-//tlrob:allocfree
 func (c *CPU) dispatch() {
 	budget := c.cfg.DispatchWidth
 	n := c.cfg.Threads
@@ -276,8 +273,6 @@ func (c *CPU) dispatch() {
 // held elsewhere (or not yet granted) is waiting on a grant — the cycles
 // the two-level schemes exist to reclaim; every other refusal is plain
 // ROB pressure.
-//
-//tlrob:allocfree
 func (c *CPU) robStallCause(tid int, th *thread) telemetry.Cause {
 	s := c.cfg.ROB.Scheme
 	if s != rob.Baseline && s != rob.SharedSingle &&
@@ -293,8 +288,6 @@ func (c *CPU) robStallCause(tid int, th *thread) telemetry.Cause {
 // skip-ahead engine dry-runs it (against freshly rebuilt snapshots) to
 // decide whether the next cycle would dispatch, and to charge blocked
 // spans to the same cause the naive ticker would record.
-//
-//tlrob:allocfree
 func (c *CPU) dispatchGate(tid int, th *thread, fe *feEntry) telemetry.Cause {
 	c.work.gateEvals++
 	inst := &fe.inst
@@ -333,8 +326,6 @@ func (c *CPU) dispatchGate(tid int, th *thread, fe *feEntry) telemetry.Cause {
 // dispatchOne renames and inserts one instruction. It returns CauseNone
 // on success; any other cause means that resource was unavailable and
 // the thread must stall this cycle.
-//
-//tlrob:allocfree
 func (c *CPU) dispatchOne(tid int, th *thread, fe *feEntry) telemetry.Cause {
 	if cause := c.dispatchGate(tid, th, fe); cause != telemetry.CauseNone {
 		return cause
@@ -407,7 +398,6 @@ func (c *CPU) dispatchOne(tid int, th *thread, fe *feEntry) telemetry.Cause {
 
 // ---- issue ----
 
-//tlrob:allocfree
 func (c *CPU) issue() {
 	c.readyBuf = c.iq.CollectReady(c.readyBuf)
 	c.work.readyEntries += int64(len(c.readyBuf))
@@ -493,7 +483,6 @@ func (c *CPU) execLatency(tid int, u *uop.UOp, forward bool) int64 {
 
 // ---- writeback ----
 
-//tlrob:allocfree
 func (c *CPU) writeback() {
 	for c.events.len() > 0 && c.events.peekAt() <= c.now {
 		ev := c.events.pop()
@@ -754,8 +743,6 @@ func (c *CPU) squash(tid int, targetSeq uint64) {
 
 // commit retires up to CommitWidth executed instructions across threads in
 // program order per thread; returns true when a thread reaches its budget.
-//
-//tlrob:allocfree
 func (c *CPU) commit(budget uint64) bool {
 	remaining := c.cfg.CommitWidth
 	n := c.cfg.Threads
@@ -792,7 +779,6 @@ func (c *CPU) commit(budget uint64) bool {
 	return done
 }
 
-//tlrob:allocfree
 func (c *CPU) commitOne(tid int, th *thread, u *uop.UOp) {
 	if c.CommitHook != nil {
 		c.CommitHook(tid, u)

@@ -141,8 +141,6 @@ func (r *rotor) next(n int) int {
 // threads-thread machine would (one next() per call). Every built-in
 // policy embeds the rotor and carries no other per-cycle state, so this
 // single method is every policy's SkipCycles.
-//
-//tlrob:allocfree
 func (r *rotor) SkipCycles(k int64, threads int) {
 	if threads <= 0 || k <= 0 {
 		return

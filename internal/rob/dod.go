@@ -24,8 +24,6 @@ var DebugCrossCheckDoD bool
 // state (maintained at push/execute/squash/commit) in O(log capacity)
 // instead of walking the window; ApproxDoDLinear is the original walk,
 // kept as the cross-check oracle behind DebugCrossCheckDoD.
-//
-//tlrob:allocfree
 func ApproxDoD(r *Ring, loadSlot int32) int {
 	n := r.UnexecutedYounger(loadSlot)
 	if DebugCrossCheckDoD {
@@ -40,8 +38,6 @@ func ApproxDoD(r *Ring, loadSlot int32) int {
 // reference implementation the incremental counter is validated against
 // (see DebugCrossCheckDoD and the property tests); the simulator's hot
 // paths use ApproxDoD.
-//
-//tlrob:allocfree
 func ApproxDoDLinear(r *Ring, loadSlot int32) int {
 	pos := r.PosOf(loadSlot)
 	if pos < 0 {
@@ -62,9 +58,8 @@ func ApproxDoDLinear(r *Ring, loadSlot int32) int {
 // reach the load's destination register. The paper argues this would
 // require expensive tag broadcasts in hardware; the simulator provides it
 // to quantify the approximation error (§4.1's accuracy discussion).
-// Deliberately NOT //tlrob:allocfree: this is the expensive oracle the
-// static check exists to keep out of the per-cycle paths; it runs only
-// under DebugCrossCheckDoD.
+// It allocates and walks the whole window, so the pipeline calls it only
+// from writeback when Config.TrackExactDoD is set, once per serviced miss.
 func ExactDoD(r *Ring, loadSlot int32) int {
 	pos := r.PosOf(loadSlot)
 	if pos < 0 {

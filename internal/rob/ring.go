@@ -65,14 +65,11 @@ func (r *Ring) Cap() int { return int(r.capacity) }
 func (r *Ring) IndexWrites() uint64 { return r.indexWrites }
 
 // setBit and clearBit write the bit of a physical slot.
-//
-//tlrob:allocfree
 func (r *Ring) setBit(slot int32) {
 	r.unexecBit[slot>>6] |= 1 << uint(slot&63)
 	r.indexWrites++
 }
 
-//tlrob:allocfree
 func (r *Ring) clearBit(slot int32) {
 	r.unexecBit[slot>>6] &^= 1 << uint(slot&63)
 	r.indexWrites++
@@ -80,8 +77,6 @@ func (r *Ring) clearBit(slot int32) {
 
 // bitRange counts the set bits of physical slots [a, b] (a <= b): a
 // masked popcount over the words the range touches.
-//
-//tlrob:allocfree
 func (r *Ring) bitRange(a, b int32) int32 {
 	wa, wb := a>>6, b>>6
 	lo := ^uint64(0) << uint(a&63)      // bits a&63.. of word wa
@@ -100,8 +95,6 @@ func (r *Ring) bitRange(a, b int32) int32 {
 // only its bit: false when the ring is empty. A clear bit means executed
 // or squashed; the pipeline pops every entry it squashes within the
 // same walk, so a live head with a clear bit has executed.
-//
-//tlrob:allocfree
 func (r *Ring) HeadDone() bool {
 	return r.count > 0 && r.unexecBit[r.head>>6]&(1<<uint(r.head&63)) == 0
 }
@@ -122,8 +115,6 @@ func (r *Ring) wrap(x int32) int32 {
 // Push appends a zeroed entry at the tail and returns (slot, pointer) for
 // the caller to fill. It panics on physical overflow — effective-capacity
 // checks belong to the caller.
-//
-//tlrob:allocfree
 func (r *Ring) Push() (int32, *uop.UOp) {
 	if r.count == r.capacity {
 		panic("rob: ring overflow")
@@ -140,8 +131,6 @@ func (r *Ring) Push() (int32, *uop.UOp) {
 // MarkExecuted sets the entry's "result valid" bit. Execution status must
 // flow through here (not a direct field write) so the incremental DoD
 // counter stays in sync with the window contents.
-//
-//tlrob:allocfree
 func (r *Ring) MarkExecuted(slot int32) {
 	r.clearBit(slot)
 	r.entries[slot].Executed = true
@@ -150,8 +139,6 @@ func (r *Ring) MarkExecuted(slot int32) {
 // MarkSquashed flags the entry as squashed; like MarkExecuted it keeps the
 // incremental DoD counter consistent and must be used instead of writing
 // the field. The entry itself stays live until popped.
-//
-//tlrob:allocfree
 func (r *Ring) MarkSquashed(slot int32) {
 	r.clearBit(slot)
 	r.entries[slot].Squashed = true
@@ -191,8 +178,6 @@ func (r *Ring) Head() *uop.UOp {
 }
 
 // PopHead removes the oldest entry (commit).
-//
-//tlrob:allocfree
 func (r *Ring) PopHead() {
 	if r.count == 0 {
 		panic("rob: pop from empty ring")
@@ -211,8 +196,6 @@ func (r *Ring) Tail() *uop.UOp {
 }
 
 // PopTail removes the youngest entry (squash walk).
-//
-//tlrob:allocfree
 func (r *Ring) PopTail() {
 	if r.count == 0 {
 		panic("rob: pop from empty ring")

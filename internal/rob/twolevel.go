@@ -288,8 +288,6 @@ func (t *TwoLevel) Stats() Stats { return t.stats }
 // the rings do not move — no dispatch, commit, squash or event — so the
 // pipeline's skip-ahead engine may jump past it and let FastForward roll
 // it forward in closed form.
-//
-//tlrob:allocfree
 func (t *TwoLevel) NextDue() int64 {
 	due := int64(math.MaxInt64)
 	if t.undecided == 0 {
@@ -327,8 +325,6 @@ func (t *TwoLevel) PendingRetry() bool { return t.retries > 0 }
 // Every recheck that fell due inside the span was blocked, so each of
 // those Ticks only moved it RecheckInterval cycles on; the record lands
 // on the first such cycle after lastTick.
-//
-//tlrob:allocfree
 func (t *TwoLevel) FastForward(lastTick int64, k int64) {
 	t.lastNow = lastTick
 	if t.owner >= 0 {
@@ -374,8 +370,6 @@ func (t *TwoLevel) Predictor() *DoDPredictor { return t.pred }
 // MissDetected informs the manager that the load in (tid, slot) has been
 // discovered to miss in the L2 cache at cycle now. hist is the thread's
 // branch history for path-hashed prediction.
-//
-//tlrob:allocfree
 func (t *TwoLevel) MissDetected(tid int, slot int32, pc, hist uint64, now int64) {
 	t.lastNow = now
 	t.stats.MissesObserved++
@@ -406,7 +400,8 @@ func (t *TwoLevel) MissDetected(tid int, slot int32, pc, hist uint64, now int64)
 			t.stats.DeniedDoD++
 		}
 	}
-	//tlrob:allow(amortized: bounded by in-flight L2 misses, reaches steady-state capacity; malloc-count tests pin the steady state)
+	// Amortized: the list never holds more than the in-flight L2 misses,
+	// so it stops growing once it reaches that capacity.
 	t.misses[tid] = append(t.misses[tid], rec)
 	if !rec.decided {
 		t.undecided++
@@ -427,8 +422,6 @@ func (t *TwoLevel) MissDetected(tid int, slot int32, pc, hist uint64, now int64)
 // removeMissAt deletes record i of tid's tracked misses, preserving order
 // (arbitration fairness depends on record age) without allocating, and
 // returns the removed record.
-//
-//tlrob:allocfree
 func (t *TwoLevel) removeMissAt(tid, i int) missRecord {
 	recs := t.misses[tid]
 	rec := recs[i]
@@ -447,8 +440,6 @@ func (t *TwoLevel) removeMissAt(tid, i int) missRecord {
 
 // grantDone retires one granted miss of tid; the partition is released
 // only when the owner's last granted miss is gone (§5.2's atomic unit).
-//
-//tlrob:allocfree
 func (t *TwoLevel) grantDone(tid int) {
 	if t.owner != tid {
 		return
@@ -468,8 +459,6 @@ func (t *TwoLevel) grantDone(tid int) {
 // data available at cycle now. It returns the service-time approximate DoD
 // count (the quantity plotted in Figures 1/3/7) and ok=false if the load
 // was not being tracked.
-//
-//tlrob:allocfree
 func (t *TwoLevel) MissServiced(tid int, slot int32, now int64) (dod int, ok bool) {
 	t.lastNow = now
 	recs := t.misses[tid]
@@ -507,8 +496,6 @@ func (t *TwoLevel) MissServiced(tid int, slot int32, now int64) (dod int, ok boo
 // EntrySquashed drops any miss record attached to (tid, slot); call it for
 // every squashed entry during a branch-misprediction walk. Squashing the
 // granting miss releases the partition.
-//
-//tlrob:allocfree
 func (t *TwoLevel) EntrySquashed(tid int, slot int32) {
 	for i := 0; i < len(t.misses[tid]); {
 		if t.misses[tid][i].slot != slot {
@@ -524,8 +511,6 @@ func (t *TwoLevel) EntrySquashed(tid int, slot int32) {
 
 // Tick runs the per-cycle scheme evaluation: reactive condition checks,
 // pending-allocation retries and second-level release.
-//
-//tlrob:allocfree
 func (t *TwoLevel) Tick(now int64) {
 	t.lastNow = now
 	if t.owner >= 0 {
@@ -604,8 +589,6 @@ func (t *TwoLevel) Tick(now int64) {
 // fails against tid's ring as it stands, so an evaluation now would only
 // reschedule the recheck. It is the one statement of that condition:
 // evaluate acts on it and NextDue wakes only for records it clears.
-//
-//tlrob:allocfree
 func (t *TwoLevel) recheckBlocked(tid int, rec *missRecord) bool {
 	ring := t.rings[tid]
 	switch t.cfg.Scheme {
@@ -627,8 +610,6 @@ func (t *TwoLevel) recheckBlocked(tid int, rec *missRecord) bool {
 }
 
 // evaluate runs one reactive-condition check for a tracked miss.
-//
-//tlrob:allocfree
 func (t *TwoLevel) evaluate(tid int, rec *missRecord, now int64) {
 	if t.recheckBlocked(tid, rec) {
 		rec.nextCheckAt = now + int64(t.cfg.RecheckInterval)
@@ -650,7 +631,6 @@ func (t *TwoLevel) evaluate(tid int, rec *missRecord, now int64) {
 	}
 }
 
-//tlrob:allocfree
 func (t *TwoLevel) tryAllocate(tid int, rec *missRecord) {
 	if t.owner == tid {
 		// A further qualifying miss of the owning thread shares the
@@ -682,8 +662,6 @@ func (t *TwoLevel) tryAllocate(tid int, rec *missRecord) {
 // maybeRelease is a backstop: if the holder somehow has no tracked misses
 // left (e.g. all squashed), relinquish. The normal release happens when
 // the owner's last granted miss is serviced or squashed (grantDone).
-//
-//tlrob:allocfree
 func (t *TwoLevel) maybeRelease() {
 	if t.owner < 0 || len(t.misses[t.owner]) > 0 {
 		return

@@ -148,8 +148,6 @@ func NewCycleState(threads int) *CycleState {
 }
 
 // Reset clears the per-thread dispatch outcome for the next cycle.
-//
-//tlrob:allocfree
 func (st *CycleState) Reset() {
 	for i := range st.Dispatched {
 		st.Dispatched[i] = 0
@@ -251,8 +249,6 @@ func (c *Collector) Cycles() int64 { return c.cycles }
 // RecordCycle charges one simulated cycle: dispatch outcome per thread,
 // occupancy accumulation, and (on sample cycles) one ring-buffer sample.
 // It allocates only when the sample ring grows (see growSamples).
-//
-//tlrob:allocfree
 func (c *Collector) RecordCycle(now int64, st *CycleState) {
 	c.cycles++
 	for t := 0; t < c.threads; t++ {
@@ -286,8 +282,6 @@ func (c *Collector) RecordCycle(now int64, st *CycleState) {
 // are bit-identical whichever path recorded the span. The active+stalls
 // == cycles invariant is preserved cause-by-cause. Like RecordCycle, it
 // allocates only when the sample ring grows.
-//
-//tlrob:allocfree
 func (c *Collector) RecordIdleSpan(from, to int64, st *CycleState) {
 	if to <= from {
 		return
@@ -315,7 +309,6 @@ func (c *Collector) RecordIdleSpan(from, to int64, st *CycleState) {
 	}
 }
 
-//tlrob:allocfree
 func (c *Collector) sample(now int64, st *CycleState) {
 	pos := c.sLen
 	if c.sLen < c.cfg.SampleCap {
@@ -361,8 +354,6 @@ func (c *Collector) SampleCount() int { return c.sLen }
 // GrantAcquired opens a second-level tenancy: thread tid took the
 // partition at cycle now for the miss at pc. Signature-compatible with
 // rob.TwoLevel's OnGrantAcquired hook.
-//
-//tlrob:allocfree
 func (c *Collector) GrantAcquired(tid int, pc uint64, now int64) {
 	if c.openActive {
 		// Defensive: a release was missed; close the stale tenancy at
@@ -375,8 +366,6 @@ func (c *Collector) GrantAcquired(tid int, pc uint64, now int64) {
 }
 
 // GrantPiggyback records a further miss joining the open tenancy.
-//
-//tlrob:allocfree
 func (c *Collector) GrantPiggyback(tid int, pc uint64, now int64) {
 	if c.openActive {
 		c.open.Misses++
@@ -385,8 +374,6 @@ func (c *Collector) GrantPiggyback(tid int, pc uint64, now int64) {
 }
 
 // GrantReleased closes the open tenancy at cycle now.
-//
-//tlrob:allocfree
 func (c *Collector) GrantReleased(tid int, now int64) {
 	if !c.openActive {
 		return

@@ -76,8 +76,10 @@ for ((run = 1; run <= runs; run++)); do
     mapfile -t pkgs < <(git diff --name-only | xargs -n1 dirname | sort -u | sed 's|^|./|')
     caught=()
 
-    # One analyzer load serves every analyzer column.
-    "$tmp/tlrobvet" -novet -json ./... >"$tmp/diags.ndjson" 2>/dev/null || true
+    # One analyzer load serves every analyzer column. The file is
+    # emptied first: tlrobvet writes nothing if the mutant fails to load.
+    : >"$tmp/diags.ndjson"
+    "$tmp/tlrobvet" -novet -out "$tmp/diags.ndjson" ./... >/dev/null 2>&1 || true
     for a in "${analyzers[@]}"; do
       if grep -q "\"analyzer\":\"$a\"" "$tmp/diags.ndjson"; then
         caught[$a]=1

@@ -170,10 +170,12 @@ func TestChromeTraceExportEndToEnd(t *testing.T) {
 // instrumented Run heap-allocates no more than an identical
 // uninstrumented one. Telemetry on and off simulate bit-identical
 // machines, so any extra mallocs would come from the per-cycle
-// telemetry path.
+// telemetry path. It runs R-ROB16 and CDR-ROB15, which between them
+// fire every grant hook (R-ROB16 never piggybacks), and fails if a run
+// stops reaching a hook the gate is meant to cover.
 func TestTelemetrySimulationLoopAllocations(t *testing.T) {
-	build := func(on bool) *pipeline.CPU {
-		o := Options{Scheme: Reactive, DoDThreshold: 16, Seed: 1, Telemetry: on}.filled(4)
+	build := func(o Options) *pipeline.CPU {
+		o = o.filled(4)
 		mix := workload.Mixes[0]
 		srcs := make([]pipeline.TraceSource, len(mix.Benchmarks))
 		for i, b := range mix.Benchmarks {
@@ -203,21 +205,38 @@ func TestTelemetrySimulationLoopAllocations(t *testing.T) {
 		return m1.Mallocs - m0.Mallocs
 	}
 	const budget = 8_000
-	run := func(on bool) uint64 {
-		cpu := build(on) // collector preallocation happens here, unmeasured
-		return mallocsDuring(func() {
-			if _, err := cpu.Run(budget); err != nil {
+	run := func(o Options) (mallocs uint64, res pipeline.Result) {
+		cpu := build(o) // collector preallocation happens here, unmeasured
+		mallocs = mallocsDuring(func() {
+			var err error
+			if res, err = cpu.Run(budget); err != nil {
 				t.Fatal(err)
 			}
 		})
+		return mallocs, res
 	}
-	off := run(false)
-	on := run(true)
-	// Identical simulations: allow a little runtime background noise but
-	// nothing that could hide a per-cycle (tens of thousands) allocation.
-	const slack = 16
-	if on > off+slack {
-		t.Fatalf("instrumented run allocated %d objects, uninstrumented %d (+%d > %d slack)",
-			on, off, on-off, slack)
+	var piggybacks uint64
+	for _, o := range []Options{
+		{Scheme: Reactive, DoDThreshold: 16, Seed: 1},
+		{Scheme: CountDelayed, DoDThreshold: 15, Seed: 1},
+	} {
+		off, _ := run(o)
+		o.Telemetry = true
+		on, res := run(o)
+		// Identical simulations: allow a little runtime background noise but
+		// nothing that could hide a per-cycle (tens of thousands) allocation.
+		const slack = 16
+		if on > off+slack {
+			t.Errorf("%v: instrumented run allocated %d objects, uninstrumented %d (+%d > %d slack)",
+				o.Scheme, on, off, on-off, slack)
+		}
+		st := res.ROBStats
+		if st.Allocations == 0 || st.Releases == 0 {
+			t.Errorf("%v: %d grants and %d releases; the gate must exercise both hooks", o.Scheme, st.Allocations, st.Releases)
+		}
+		piggybacks += st.PiggybackGrants
+	}
+	if piggybacks == 0 {
+		t.Error("no run piggybacked a grant; the gate must exercise GrantPiggyback")
 	}
 }
