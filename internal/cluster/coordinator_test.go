@@ -328,9 +328,9 @@ func TestChaosKillWorkerMidSweep(t *testing.T) {
 
 // TestHedgedRequestWinsAndLoserIsCancelled pins the tail-latency path:
 // the primary is wedged (its single worker slot is occupied), the hedge
-// fires to the replica and wins, and the losing arm's job on the
-// primary is cancelled — freeing its queue slot — once the client is
-// answered.
+// fires to the replica and wins, and the losing arm never simulates on
+// the primary: under load the coordinator may cancel it before the
+// primary counts it, and a loser the primary did count ends cancelled.
 func TestHedgedRequestWinsAndLoserIsCancelled(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs multi-second calibrated sweeps")
@@ -381,26 +381,29 @@ func TestHedgedRequestWinsAndLoserIsCancelled(t *testing.T) {
 		t.Fatalf("hedge counters: %+v", st)
 	}
 
-	// The losing arm is still queued behind the blocker on the primary,
-	// but the coordinator's cancel already severed its client — so once
-	// the blocker unwinds, the loser must drain as cancelled-while-queued
-	// without ever simulating.
-	waitFor(t, "loser to appear in the primary's queue", func() bool {
-		return primary.srv.Stats().QueueDepth >= 1
-	})
+	// The coordinator cancelled the losing arm when the hedge won. That
+	// arm may have queued behind the blocker on the primary, or been
+	// cancelled before the primary ever counted it; the test holds
+	// either way. Once the blocker is cancelled, every submission the
+	// primary counted must end without a second simulation.
 	if !primary.srv.Cancel(bj.ID) {
 		t.Fatal("blocker cancel rejected")
 	}
-	// Once the blocker unwinds, the dequeued loser must be discarded as
-	// cancelled — freeing the queue and the slot without running.
-	waitFor(t, "loser job cancellation", func() bool {
+	waitFor(t, "the primary to drain", func() bool {
 		st := primary.srv.Stats()
-		return st.Canceled >= 1 && st.QueueDepth == 0 && st.Inflight == 0
+		ended := st.Canceled + st.Completed + st.Failed + st.PeerFillHits
+		return st.QueueDepth == 0 && st.Inflight == 0 && ended == st.Submitted
 	})
-	// The loser never consumed the freed slot for real work: the only
-	// simulation the primary ever started was the blocker's.
-	if sims := primary.srv.Stats().Simulations; sims != 1 {
-		t.Fatalf("primary simulations = %d, want just the blocker's", sims)
+	// The only simulation the primary started was the blocker's. A
+	// loser it counted ended cancelled, or, had it arrived after the
+	// winner finished, was answered by peer fill from the winner.
+	pst := primary.srv.Stats()
+	t.Logf("primary counted %d submissions besides the blocker's", pst.Submitted-1)
+	if pst.Simulations != 1 {
+		t.Fatalf("primary simulations = %d, want just the blocker's", pst.Simulations)
+	}
+	if pst.Canceled+pst.PeerFillHits != pst.Submitted {
+		t.Fatalf("primary: %d submissions, %d cancelled, %d peer-filled", pst.Submitted, pst.Canceled, pst.PeerFillHits)
 	}
 	// And the spec was simulated exactly once fleet-wide — on the
 	// winning replica.

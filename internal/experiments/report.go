@@ -102,7 +102,7 @@ func WriteTable1(w io.Writer) {
 		{"BTB", "2048-entry, 2-way"},
 		{"Branch predictor", "2K-entry gShare, 10-bit history per thread"},
 		{"Load-hit predictor", "2-bit, 1K entries, 8-bit history per thread"},
-		{"Fetch policy", "ICOUNT 2.8 ordering, DCRA resource sharing"},
+		{"Fetch policy", "ICOUNT 2.8 (the paper: ICOUNT ordering, DCRA resource sharing)"},
 		{"Memory", "64-bit wide, 500-cycle first chunk, 2-cycle interchunk"},
 	}
 	for _, r := range rows {

@@ -283,6 +283,12 @@ func resolveKey(spec RunSpec, cfg Config) (RunSpec, experiments.SchemeSpec, []wo
 	if err != nil {
 		return spec, scheme, mixes, "", fmt.Errorf("%w: %w", ErrBadSpec, err)
 	}
+	key, err := store.Key(newKeySpec(spec, scheme, mixes))
+	return spec, scheme, mixes, key, err
+}
+
+// newKeySpec assembles the key material of a normalized spec.
+func newKeySpec(spec RunSpec, scheme experiments.SchemeSpec, mixes []workload.Mix) keySpec {
 	opt := scheme.Opt
 	opt.Budget = spec.Budget
 	opt.Seed = spec.Seed
@@ -290,8 +296,7 @@ func resolveKey(spec RunSpec, cfg Config) (RunSpec, experiments.SchemeSpec, []wo
 	for i, m := range mixes {
 		names[i] = m.Name
 	}
-	key, err := store.Key(keySpec{Options: opt, Mixes: names, Budget: spec.Budget, Seed: spec.Seed})
-	return spec, scheme, mixes, key, err
+	return keySpec{Options: opt, Mixes: names, Budget: spec.Budget, Seed: spec.Seed}
 }
 
 // Submit resolves the spec, consults the cache (local, then peers when

@@ -11,7 +11,6 @@
 package store
 
 import (
-	"bytes"
 	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
@@ -24,36 +23,6 @@ import (
 	"sync"
 	"sync/atomic"
 )
-
-// Key returns the content address of a request value: the SHA-256 hex
-// digest of its canonical JSON encoding. Canonicalization round-trips
-// the value through a generic JSON tree so object keys are sorted —
-// two specs that encode the same fields in different orders produce
-// the same key.
-func Key(v any) (string, error) {
-	data, err := Canonical(v)
-	if err != nil {
-		return "", err
-	}
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:]), nil
-}
-
-// Canonical returns the canonical JSON encoding of v: object keys
-// sorted, no insignificant whitespace, numbers preserved verbatim.
-func Canonical(v any) ([]byte, error) {
-	raw, err := json.Marshal(v)
-	if err != nil {
-		return nil, err
-	}
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.UseNumber() // keep 1e6 vs 1000000 and uint64 precision intact
-	var tree any
-	if err := dec.Decode(&tree); err != nil {
-		return nil, err
-	}
-	return json.Marshal(tree) // map keys are emitted sorted
-}
 
 // Payload validates data as one JSON document and returns it in the
 // form the store keeps and a disk read returns: compact, with HTML

@@ -64,7 +64,10 @@ const (
 )
 
 // Options selects a machine configuration. The zero value is completed by
-// fillDefaults to the paper's Baseline_32 DCRA machine.
+// filled to Baseline_32 under the ICOUNT fetch policy, Policy's zero
+// value. The paper runs every configuration under DCRA, which needs
+// Policy: DCRA; no figure, simd job or benchmark cell sets it, so they
+// all run ICOUNT.
 type Options struct {
 	Scheme       Scheme
 	DoDThreshold int // reactive: 16; relaxed/CDR: 15; predictive: 3 or 5

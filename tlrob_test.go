@@ -176,3 +176,13 @@ func TestRunBenchmarksValidation(t *testing.T) {
 		t.Fatal("unknown benchmark accepted")
 	}
 }
+
+// TestZeroOptionsRunICOUNT pins the fetch policy of the zero Options,
+// which every figure, simd job and benchmark cell uses: ICOUNT, not the
+// paper's DCRA. Making DCRA the default changes every result and every
+// stored one with it, so it must be a deliberate model change.
+func TestZeroOptionsRunICOUNT(t *testing.T) {
+	if got := (Options{}).filled(4).machineConfig().PolicyKind; got != ICOUNT {
+		t.Fatalf("zero Options run %v, want %v", got, ICOUNT)
+	}
+}
