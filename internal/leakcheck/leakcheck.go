@@ -1,9 +1,10 @@
-// Package leakcheck is the runtime complement to the golifecycle
-// static pass: it snapshots the running goroutines before a test (or a
-// whole test binary) and fails if goroutines created since are still
-// running afterwards. golifecycle proves every spawn in the long-lived
-// packages is joinable or cancellable; leakcheck proves the joins and
-// cancels actually happen.
+// Package leakcheck fails a test, or a whole test binary, that leaves
+// goroutines running: it snapshots the running goroutines before and
+// reports every goroutine created since that is still running after a
+// settling window. It catches a spawn that is never joined or
+// cancelled. It cannot see one that exits late but within the window,
+// such as work still running when Shutdown or Close returns; tests that
+// pin a join check that directly.
 //
 // Wire it into a package with
 //

@@ -31,7 +31,8 @@ func Serve(ln net.Listener, h http.Handler) (*http.Server, <-chan error) {
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 	errCh := make(chan error, 1)
-	//tlrob:allow(bounded: Serve returns on srv.Shutdown/Close and the terminal error parks in the buffered errCh)
+	// Bounded: Serve returns on srv.Shutdown/Close and the terminal error
+	// parks in the buffered errCh.
 	go func() { errCh <- srv.Serve(ln) }()
 	return srv, errCh
 }

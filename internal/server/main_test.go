@@ -8,8 +8,7 @@ import (
 
 // TestMain wraps the whole package in the goroutine-leak guard:
 // workers, replica pushes, SSE subscribers, and Shutdown joiners
-// spawned by tests must all be gone when the binary exits — the
-// dynamic counterpart of the golifecycle static pass.
+// spawned by tests must all be gone when the binary exits.
 func TestMain(m *testing.M) {
 	leakcheck.Main(m)
 }

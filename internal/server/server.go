@@ -606,7 +606,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 	s.mu.Unlock()
 	done := make(chan struct{})
-	//tlrob:allow(joiner: exits when the worker and replica WaitGroups drain; Shutdown joins it via done on both arms below)
+	// The joiner exits when the worker and replica WaitGroups drain;
+	// Shutdown joins it via done on both arms below.
 	go func() {
 		s.workersWG.Wait()
 		s.replicaWG.Wait() // in-flight replica pushes finish too
