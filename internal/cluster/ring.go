@@ -284,8 +284,8 @@ func (r *Ring) Ownership(samples int) ([]string, []float64) {
 	if samples <= 0 {
 		samples = 1024
 	}
-	counts := make(map[string]int, len(r.nodes))
 	r.mu.RLock()
+	counts := make(map[string]int, len(r.nodes))
 	step := ^uint64(0) / uint64(samples)
 	for i := 0; i < samples; i++ {
 		h := uint64(i) * step

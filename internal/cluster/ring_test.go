@@ -297,3 +297,35 @@ func TestRingSetMembers(t *testing.T) {
 		t.Fatal("duplicate member list accepted")
 	}
 }
+
+// TestRingOwnershipDuringChurn runs Ownership against a loop of Add and
+// Remove: the race detector fails it if Ownership reads the member list
+// outside the ring's lock.
+func TestRingOwnershipDuringChurn(t *testing.T) {
+	r, err := NewRing(threeNodes(), 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			r.Add("http://node-d:1")
+			r.Remove("http://node-d:1")
+		}
+	}()
+	for i := 0; i < 200; i++ {
+		nodes, shares := r.Ownership(64)
+		if len(nodes) != len(shares) || len(nodes) < 3 {
+			t.Fatalf("ownership %v %v", nodes, shares)
+		}
+	}
+	close(stop)
+	<-done
+}

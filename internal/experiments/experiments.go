@@ -2,16 +2,18 @@
 // evaluation (§5): the DoD histograms of Figures 1, 3 and 7 and the
 // fair-throughput comparisons of Figures 2, 4, 5 and 6, over the eleven
 // Table-2 mixes. Runs are distributed across CPU cores; single-threaded
-// reference IPCs are computed once and shared.
+// reference IPCs are computed once per Runner, beside the mix runs that
+// need them, and each mix is scored once its references are in.
 package experiments
 
 import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro"
 	"repro/internal/metrics"
@@ -144,10 +146,12 @@ type SchemeSeries struct {
 	Speedup float64 // vs the baseline series, filled by FTComparison
 }
 
-// Progress reports one completed unit of a sweep. Stage is "single" while
-// the single-threaded reference IPCs are computed and "mix" for the
-// multithreaded runs; Index is the unit's slot (0-based) and Total the
-// number of units in the stage. FairThroughput is filled for mix units.
+// Progress reports one completed unit of a sweep. Stage is "single" for
+// a single-threaded reference run and "mix" for a scored multithreaded
+// run; the two interleave, but a mix unit always follows the single
+// units of its benchmarks. Index is the unit's slot (0-based) and Total
+// the number of units of its stage in the call. FairThroughput is filled
+// for mix units.
 type Progress struct {
 	Scheme         string
 	Stage          string // "single" | "mix"
@@ -185,46 +189,105 @@ func (r *Runner) progress(p Progress) {
 // SingleIPCs returns (computing on first use) the single-threaded
 // reference IPC of every benchmark used by the Table-2 mixes.
 func (r *Runner) SingleIPCs(ctx context.Context) (map[string]float64, error) {
-	names := map[string]bool{}
-	for _, m := range workload.Mixes {
-		for _, b := range m.Benchmarks {
-			names[b] = true
-		}
+	if _, err := r.run(ctx, SchemeSpec{}, nil, workload.Mixes); err != nil {
+		return nil, err
 	}
-	return r.singleIPCsFor(ctx, "", names)
+	return r.copySingles(), nil
 }
 
-// singleIPCsFor computes (memoizing across calls) the reference IPCs of
-// the given benchmark set. scheme labels progress events only.
-func (r *Runner) singleIPCsFor(ctx context.Context, scheme string, names map[string]bool) (map[string]float64, error) {
-	var todo []string
+// missingSingles lists, in order of first use, the distinct benchmarks
+// of mixes whose reference IPC is not memoized yet.
+func (r *Runner) missingSingles(mixes []workload.Mix) []string {
 	r.mu.Lock()
-	for b := range names {
-		if _, ok := r.singles[b]; !ok {
-			todo = append(todo, b)
+	defer r.mu.Unlock()
+	var todo []string
+	for _, m := range mixes {
+		for _, b := range m.Benchmarks {
+			if _, ok := r.singles[b]; !ok && !slices.Contains(todo, b) {
+				todo = append(todo, b)
+			}
 		}
 	}
-	r.mu.Unlock()
-	sort.Strings(todo)
-	if len(todo) == 0 {
-		return r.copySingles(), nil
+	return todo
+}
+
+// run evaluates spec over mixes and computes the missing references of
+// refsOf's benchmarks, all as one task list on one worker pool: the
+// first mix, then the references, then the remaining mixes. A mix run
+// takes an empty reference map; its row is scored, and its "mix" event
+// sent, by whichever of its own run and its missing references finishes
+// last.
+func (r *Runner) run(ctx context.Context, spec SchemeSpec, mixes, refsOf []workload.Mix) ([]MixRow, error) {
+	todo := r.missingSingles(refsOf)
+	// pending[i] counts mix i's unfinished runs; waiters[j] lists the
+	// mixes that reference todo[j] holds back.
+	pending := make([]atomic.Int32, len(mixes))
+	waiters := make([][]int, len(todo))
+	for i, m := range mixes {
+		pending[i].Store(1)
+		for j, b := range todo {
+			if slices.Contains(m.Benchmarks[:], b) {
+				pending[i].Add(1)
+				waiters[j] = append(waiters[j], i)
+			}
+		}
 	}
-	opt := tlrob.Options{Budget: r.params.Budget, Seed: r.params.Seed}
-	err := workpool.Run(ctx, r.params.workers(), len(todo), func(i int) error {
-		res, err := tlrob.RunSingle(todo[i], opt)
+	rows := make([]MixRow, len(mixes))
+	finish := func(i int) {
+		if pending[i].Add(-1) != 0 {
+			return
+		}
+		res := rows[i].Result
+		r.mu.Lock()
+		res.Score(r.singles)
+		r.mu.Unlock()
+		rows[i] = MixRow{
+			Mix:            mixes[i].Name,
+			FairThroughput: res.FairThroughput,
+			Throughput:     res.Throughput,
+			DoDMean:        res.DoDMean,
+			Result:         res,
+		}
+		r.progress(Progress{
+			Scheme: spec.Label, Stage: "mix", Item: mixes[i].Name,
+			Index: i, Total: len(mixes), FairThroughput: res.FairThroughput,
+			Telemetry: res.Telemetry,
+		})
+	}
+	opt := spec.Opt
+	opt.Budget = r.params.Budget
+	opt.Seed = r.params.Seed
+	opt.Telemetry = opt.Telemetry || r.params.Telemetry
+	refOpt := tlrob.Options{Budget: r.params.Budget, Seed: r.params.Seed}
+	first := min(len(mixes), 1)
+	err := workpool.Run(ctx, r.params.workers(), len(mixes)+len(todo), func(t int) error {
+		if j := t - first; j >= 0 && j < len(todo) {
+			res, err := tlrob.RunSingle(todo[j], refOpt)
+			if err != nil {
+				return err
+			}
+			r.mu.Lock()
+			r.singles[todo[j]] = res.IPC
+			r.mu.Unlock()
+			r.progress(Progress{Scheme: spec.Label, Stage: "single", Item: todo[j], Index: j, Total: len(todo)})
+			for _, i := range waiters[j] {
+				finish(i)
+			}
+			return nil
+		}
+		i := max(t-len(todo), 0)
+		res, err := tlrob.RunMix(mixes[i], opt, map[string]float64{})
 		if err != nil {
 			return err
 		}
-		r.mu.Lock()
-		r.singles[todo[i]] = res.IPC
-		r.mu.Unlock()
-		r.progress(Progress{Scheme: scheme, Stage: "single", Item: todo[i], Index: i, Total: len(todo)})
+		rows[i].Result = res
+		finish(i)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return r.copySingles(), nil
+	return rows, nil
 }
 
 func (r *Runner) copySingles() map[string]float64 {
@@ -242,53 +305,20 @@ func (r *Runner) RunScheme(ctx context.Context, spec SchemeSpec) (SchemeSeries, 
 	return r.RunMixes(ctx, spec, workload.Mixes)
 }
 
-// RunMixes evaluates one scheme over the given mixes. Cancelling ctx
-// stops dispatching further runs (in-flight single runs finish, the
-// rest are abandoned) and returns the context error.
+// RunMixes evaluates one scheme over the given mixes. The mix runs and
+// the reference runs this Runner has not memoized yet share one worker
+// pool (see run), so no mix waits for every reference before it starts.
+// Cancelling ctx stops dispatching further runs (in-flight runs finish,
+// the rest are abandoned) and returns the context error.
 func (r *Runner) RunMixes(ctx context.Context, spec SchemeSpec, mixes []workload.Mix) (SchemeSeries, error) {
 	if len(mixes) == 0 {
 		return SchemeSeries{}, fmt.Errorf("experiments: no mixes given")
 	}
-	names := map[string]bool{}
-	for _, m := range mixes {
-		for _, b := range m.Benchmarks {
-			names[b] = true
-		}
-	}
-	singles, err := r.singleIPCsFor(ctx, spec.Label, names)
+	rows, err := r.run(ctx, spec, mixes, mixes)
 	if err != nil {
 		return SchemeSeries{}, err
 	}
-	series := SchemeSeries{Label: spec.Label, Rows: make([]MixRow, len(mixes))}
-	opt := spec.Opt
-	opt.Budget = r.params.Budget
-	opt.Seed = r.params.Seed
-	if r.params.Telemetry {
-		opt.Telemetry = true
-	}
-	err = workpool.Run(ctx, r.params.workers(), len(mixes), func(i int) error {
-		mix := mixes[i]
-		res, err := tlrob.RunMix(mix, opt, singles)
-		if err != nil {
-			return err
-		}
-		series.Rows[i] = MixRow{
-			Mix:            mix.Name,
-			FairThroughput: res.FairThroughput,
-			Throughput:     res.Throughput,
-			DoDMean:        res.DoDMean,
-			Result:         res,
-		}
-		r.progress(Progress{
-			Scheme: spec.Label, Stage: "mix", Item: mix.Name,
-			Index: i, Total: len(mixes), FairThroughput: res.FairThroughput,
-			Telemetry: res.Telemetry,
-		})
-		return nil
-	})
-	if err != nil {
-		return SchemeSeries{}, err
-	}
+	series := SchemeSeries{Label: spec.Label, Rows: rows}
 	for _, row := range series.Rows {
 		series.AvgFT += row.FairThroughput
 		series.AvgDoD += row.DoDMean

@@ -341,20 +341,31 @@ func RunBenchmarks(name string, benches []string, opt Options, singleIPC map[str
 		Telemetry: telemetrySummary(res),
 		Raw:       res,
 	}
-	weighted := make([]float64, len(benches))
 	for i, b := range benches {
-		w := metrics.WeightedIPC(res.IPC[i], singleIPC[b])
-		weighted[i] = w
 		mr.Throughput += res.IPC[i]
 		mr.Threads = append(mr.Threads, ThreadResult{
-			Benchmark:   b,
-			Committed:   res.Committed[i],
-			IPC:         res.IPC[i],
-			WeightedIPC: w,
+			Benchmark: b,
+			Committed: res.Committed[i],
+			IPC:       res.IPC[i],
 		})
 	}
-	mr.FairThroughput = metrics.FairThroughput(weighted)
+	mr.Score(singleIPC)
 	return mr, nil
+}
+
+// Score sets each thread's WeightedIPC and the run's FairThroughput
+// from the single-threaded reference IPCs of its benchmarks (a missing
+// reference weighs as zero). RunBenchmarks calls it once the run is
+// done; a caller that passed an empty map there can score the result
+// again once its references are known.
+func (mr *MixResult) Score(singleIPC map[string]float64) {
+	weighted := make([]float64, len(mr.Threads))
+	for i := range mr.Threads {
+		t := &mr.Threads[i]
+		t.WeightedIPC = metrics.WeightedIPC(t.IPC, singleIPC[t.Benchmark])
+		weighted[i] = t.WeightedIPC
+	}
+	mr.FairThroughput = metrics.FairThroughput(weighted)
 }
 
 // RunTraceFiles simulates recorded binary traces (see internal/trace),
