@@ -410,11 +410,35 @@ func (c *Coordinator) tryNode(ctx context.Context, node, path string, body []byt
 		return forwardResult{node: node, err: err}
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
+	data, err := readBody(resp)
 	if err != nil {
 		return forwardResult{node: node, err: err}
 	}
 	return forwardResult{node: node, status: resp.StatusCode, body: data, retryAfter: resp.Header.Get("Retry-After"), cache: resp.Header.Get(server.CacheHeader)}
+}
+
+// maxSizedBody caps the Content-Length readBody trusts for one up-front
+// allocation: a longer or unknown length is read by io.ReadAll, which
+// grows its buffer only as bytes arrive, so a lying header cannot force
+// a large allocation.
+const maxSizedBody = 1 << 20
+
+// readBody reads a worker's answer. Workers send an exact
+// Content-Length, so the usual answer costs one allocation of exactly
+// its size; a body shorter than its header says is an error.
+func readBody(resp *http.Response) ([]byte, error) {
+	n := resp.ContentLength
+	if n < 0 || n > maxSizedBody {
+		return io.ReadAll(resp.Body)
+	}
+	data := make([]byte, n)
+	if _, err := io.ReadFull(resp.Body, data); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, fmt.Errorf("read %d-byte answer: %w", n, err)
+	}
+	return data, nil
 }
 
 // Stats is the coordinator's observable state.

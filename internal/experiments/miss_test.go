@@ -21,17 +21,19 @@ func fleetMiss(tb testing.TB) {
 }
 
 // TestFleetMissAllocations bounds the bytes one fleet-shaped miss
-// allocates once the process is warm: the machines' caches come from
-// the pool and are rebuilt lazily, and telemetry rings grow only as far
-// as the short run samples. The minimum of three misses is taken so a
-// garbage collection that empties the pool mid-measurement cannot fail
-// the test.
+// allocates once the process is warm: the machines' caches, BTBs and
+// ROB rings come from the pool (the caches are rebuilt lazily), and
+// telemetry rings grow only as far as the short run samples. The
+// minimum of three misses is taken so a garbage collection that empties
+// the pool mid-measurement cannot fail the test.
 func TestFleetMissAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop released machines")
 	}
-	const maxBytes = 12 << 20 / 10 // 1.2 MB
-	fleetMiss(t)                   // warm-up: fills the machine pool
+	// 174 KB measured (Go 1.24, linux/amd64), plus 38% for what the
+	// toolchain or a grown run may add.
+	const maxBytes = 240 << 10
+	fleetMiss(t) // warm-up: fills the machine pool
 	best := ^uint64(0)
 	for i := 0; i < 3; i++ {
 		var before, after runtime.MemStats

@@ -22,17 +22,23 @@ func entry(tid int8, seq uint64, srcs ...int32) Entry {
 	return e
 }
 
+// ins inserts e's fields.
+func ins(q *IQ, e Entry) bool {
+	u := uop.UOp{Tid: e.H.Tid, RobSlot: e.H.Slot, Seq: e.Seq, Op: e.Op, SrcPhys: e.Src}
+	return q.Insert(&u, e.Rdy)
+}
+
 func TestInsertAndCapacity(t *testing.T) {
 	q, err := New(4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		if !q.Insert(entry(0, uint64(i))) {
+		if !ins(q, entry(0, uint64(i))) {
 			t.Fatalf("insert %d failed", i)
 		}
 	}
-	if q.Insert(entry(0, 99)) {
+	if ins(q, entry(0, 99)) {
 		t.Fatal("insert into full queue succeeded")
 	}
 	if q.Len() != 4 || q.Free() != 0 || q.CountOf(0) != 4 {
@@ -45,8 +51,8 @@ func TestInsertAndCapacity(t *testing.T) {
 
 func TestWakeupAndSelect(t *testing.T) {
 	q, _ := New(8, 1)
-	q.Insert(entry(0, 1, 100, 101))
-	q.Insert(entry(0, 2)) // always ready
+	ins(q, entry(0, 1, 100, 101))
+	ins(q, entry(0, 2)) // always ready
 	buf := q.CollectReady(nil)
 	if len(buf) != 1 || q.Entry(buf[0]).Seq != 2 {
 		t.Fatalf("ready set: %v", buf)
@@ -64,9 +70,9 @@ func TestWakeupAndSelect(t *testing.T) {
 
 func TestOldestFirstOrder(t *testing.T) {
 	q, _ := New(8, 1)
-	q.Insert(entry(0, 30))
-	q.Insert(entry(0, 10))
-	q.Insert(entry(0, 20))
+	ins(q, entry(0, 30))
+	ins(q, entry(0, 10))
+	ins(q, entry(0, 20))
 	buf := q.CollectReady(nil)
 	if len(buf) != 3 {
 		t.Fatalf("ready: %v", buf)
@@ -79,14 +85,14 @@ func TestOldestFirstOrder(t *testing.T) {
 
 func TestRemoveFreesSlot(t *testing.T) {
 	q, _ := New(2, 1)
-	q.Insert(entry(0, 1))
-	q.Insert(entry(0, 2))
+	ins(q, entry(0, 1))
+	ins(q, entry(0, 2))
 	buf := q.CollectReady(nil)
 	q.Remove(buf[0])
 	if q.Len() != 1 || q.Free() != 1 {
 		t.Fatal("remove did not free")
 	}
-	if !q.Insert(entry(0, 3)) {
+	if !ins(q, entry(0, 3)) {
 		t.Fatal("slot not reusable")
 	}
 	if err := q.CheckInvariants(); err != nil {
@@ -96,10 +102,10 @@ func TestRemoveFreesSlot(t *testing.T) {
 
 func TestSquashYounger(t *testing.T) {
 	q, _ := New(8, 2)
-	q.Insert(entry(0, 10))
-	q.Insert(entry(0, 20))
-	q.Insert(entry(1, 15)) // other thread, must survive
-	q.Insert(entry(0, 30))
+	ins(q, entry(0, 10))
+	ins(q, entry(0, 20))
+	ins(q, entry(1, 15)) // other thread, must survive
+	ins(q, entry(0, 30))
 	n := q.SquashYounger(0, 10)
 	if n != 2 {
 		t.Fatalf("squashed %d entries, want 2", n)
@@ -114,7 +120,7 @@ func TestSquashYounger(t *testing.T) {
 
 func TestOccupancyStats(t *testing.T) {
 	q, _ := New(4, 1)
-	q.Insert(entry(0, 1))
+	ins(q, entry(0, 1))
 	q.Tick()
 	q.Tick()
 	s := q.Stats()
@@ -145,7 +151,7 @@ func TestQuickIQAccounting(t *testing.T) {
 			switch o % 4 {
 			case 0, 1: // insert
 				seq++
-				q.Insert(entry(int8(o%4), seq, int32(o)))
+				ins(q, entry(int8(o%4), seq, int32(o)))
 			case 2: // wake + remove one ready
 				q.Wakeup(int32(o))
 				if buf := q.CollectReady(nil); len(buf) > 0 {

@@ -13,7 +13,7 @@ import (
 const ledgerGolden = "testdata/work_ledger.golden"
 
 // ledgerHeader names the columns of ledgerGolden.
-const ledgerHeader = "# scheme mix seed cycles stepped skip_spans events_pushed events_popped ready_entries gate_evals load_checks lsq_inspected dod_index_writes"
+const ledgerHeader = "# scheme mix seed cycles stepped skip_spans events_pushed events_popped ready_entries gate_evals load_checks lsq_inspected dod_index_writes iq_compares wakeup_visits cache_lookups"
 
 // ledgerLine runs one configuration of the matrix and formats its work
 // ledger as one line of ledgerGolden.
@@ -27,16 +27,17 @@ func ledgerLine(t *testing.T, scheme string, cfg rob.Config, mix string, seed ui
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Release()
 	var dodWrites uint64
 	for tid := 0; tid < c.cfg.Threads; tid++ {
 		dodWrites += c.rob.Ring(tid).IndexWrites()
 	}
+	c.Release()
 	w := c.work
-	return fmt.Sprintf("%s %s %d %d %d %d %d %d %d %d %d %d %d",
+	lookups := res.L1I.Accesses + res.L1D.Accesses + res.L2.Accesses
+	return fmt.Sprintf("%s %s %d %d %d %d %d %d %d %d %d %d %d %d %d %d",
 		scheme, strings.ReplaceAll(mix, " ", ""), seed, res.Cycles, c.stepped, w.skipSpans,
 		w.eventsPushed, w.eventsPopped, w.readyEntries, w.gateEvals, w.loadChecks,
-		c.lsq.Inspected(), dodWrites)
+		c.lsq.Inspected(), dodWrites, c.iq.Compares(), c.iq.WaiterVisits(), lookups)
 }
 
 // TestWorkLedgerGolden pins the work the engine does, counted instead of

@@ -62,19 +62,25 @@ func (c *CPU) advance(maxCycles int64) bool {
 //     eligible but did not dispatch was resource-blocked, and every
 //     resource it can wait on is replenished only by events or commits
 //     — both already wake points.
-//   - fetch: a thread the policy admitted this cycle (membership in
-//     c.order is a pure function of snapshots, which are frozen across
-//     an idle span) wakes when its fetch stall expires; if it could
-//     fetch right now, the next cycle must be simulated.
+//   - fetch: a thread the policy admits (Policy.MayFetch is a pure
+//     function of snapshots, which are frozen across an idle span)
+//     wakes when its fetch stall expires; if it could fetch right now,
+//     the next cycle must be simulated.
 func (c *CPU) nextInterestingCycle() int64 {
 	next := c.now + 1
+	// The usual reasons to step the next cycle are checked first, the
+	// cheapest first. Each check before the horizon only returns next, so
+	// their order does not change the answer.
+	if c.iq.HasReady() {
+		return next // selection would issue or re-count a conflict
+	}
+	if c.events.len() > 0 && c.events.peekAt() <= next {
+		return next // writeback has an event to handle
+	}
 	for t := range c.threads {
 		if c.rob.Ring(t).HeadDone() {
 			return next // a commit is pending
 		}
-	}
-	if c.iq.HasReady() {
-		return next // selection would issue or re-count a conflict
 	}
 	if c.rob.PendingRetry() && c.rob.Owner() < 0 {
 		return next // a grant retry could succeed (defensive)
@@ -107,25 +113,33 @@ func (c *CPU) nextInterestingCycle() int64 {
 			fe := th.fq.peek()
 			if fe.readyAt <= c.now {
 				// An eligible head dispatches next cycle unless a resource
-				// blocks it. The verdict must be dry-run against the
-				// snapshots the next cycle's dispatch would see — rebuilt
-				// from this cycle's post-issue, post-fetch state — not the
-				// mid-cycle ones this cycle's dispatch judged: a
-				// share-capped policy (DCRA) can admit next cycle a head it
-				// refused this cycle purely because issue drained the
-				// thread's queue occupancy after the snapshot was taken.
-				// Rebuilding c.snaps here is safe (it is scratch that every
-				// cycle rebuilds before its consumers run), and skipTo
-				// relies on it staying fresh for its cause recomputation.
-				if !snapsFresh {
+				// blocks it. If it stays blocked, it stays blocked for the
+				// whole span: every resource the gate checks — ROB slots
+				// (commit), IQ slots (issue), physical registers
+				// (writeback), LSQ slots (commit), second-level capacity
+				// (grant) — is replenished only at wake points already
+				// accounted for.
+				if th.blockedAt == c.now && !c.capsDispatch {
+					// This cycle's dispatch refused this very head, and
+					// since then only dispatch and fetch ran, which take
+					// resources and free none: the verdict still holds.
+					continue
+				}
+				if !snapsFresh && c.capsDispatch {
+					// The verdict must be dry-run against the snapshots the
+					// next cycle's dispatch would see — rebuilt from this
+					// cycle's post-issue, post-fetch state — not the
+					// mid-cycle ones this cycle's dispatch judged: a
+					// share-capped policy (DCRA) can admit next cycle a
+					// head it refused this cycle purely because issue
+					// drained the thread's queue occupancy after the
+					// snapshot was taken. Rebuilding c.snaps here is safe
+					// (it is scratch that every cycle rebuilds before its
+					// consumers run), and skipTo relies on it staying fresh
+					// for its cause recomputation.
 					c.buildSnapshots()
 					snapsFresh = true
 				}
-				// If the head stays blocked, it stays blocked for the whole
-				// span: every resource the gate checks — ROB slots (commit),
-				// IQ slots (issue), physical registers (writeback), LSQ
-				// slots (commit), second-level capacity (grant) — is
-				// replenished only at wake points already accounted for.
 				if c.dispatchGate(t, th, fe) == telemetry.CauseNone {
 					return next
 				}
@@ -138,12 +152,17 @@ func (c *CPU) nextInterestingCycle() int64 {
 			}
 		}
 	}
-	// Fetch wake-ups: only threads the policy admitted this cycle can
-	// fetch during the span (snapshots are frozen, so admission is too).
-	for _, tid := range c.order {
+	// Fetch wake-ups: only threads the policy admits can fetch during the
+	// span (snapshots are frozen, so admission is too). Admission reads
+	// only what writeback and commit change, so this cycle's snapshots and
+	// any rebuilt above give the same answer.
+	for tid := range c.threads {
 		th := &c.threads[tid]
 		if th.finished || th.flushWait || th.fq.len() >= c.cfg.FrontEndBuf {
 			continue // unblocked only by events or dispatch drain
+		}
+		if !c.pol.MayFetch(&c.snaps[tid]) {
+			continue
 		}
 		if th.fetchStalledUntil <= c.now {
 			return next // could fetch immediately
@@ -183,7 +202,8 @@ func (c *CPU) skipTo(from, to int64) {
 		case th.fq.len() > 0 && th.fq.peek().readyAt <= c.now:
 			// The head is dispatch-eligible but resource-blocked (or
 			// nextInterestingCycle would have refused the skip). Re-run the
-			// gate against the snapshots nextInterestingCycle just rebuilt:
+			// gate against the snapshots nextInterestingCycle just rebuilt
+			// when the policy's cap reads them:
 			// the naive ticker charges the span to next cycle's verdict,
 			// which can name a different resource than this cycle's —
 			// dispatch judged stale, pre-issue snapshots.

@@ -3,7 +3,6 @@ package pipeline
 import (
 	"fmt"
 
-	"repro/internal/iq"
 	"repro/internal/isa"
 	"repro/internal/rob"
 	"repro/internal/telemetry"
@@ -34,11 +33,18 @@ func (q *feQueue) wrap(i int) int {
 }
 
 func (q *feQueue) push(e feEntry) {
+	*q.slot() = e
+	q.n++
+}
+
+// slot returns the free entry behind the tail, for the caller to fill in
+// place and then append with q.n++ — or to leave, when the instruction
+// does not enter the queue after all.
+func (q *feQueue) slot() *feEntry {
 	if q.n == len(q.buf) {
 		panic("pipeline: front-end queue overflow")
 	}
-	q.buf[q.wrap(q.head+q.n)] = e
-	q.n++
+	return &q.buf[q.wrap(q.head+q.n)]
 }
 
 func (q *feQueue) peek() *feEntry { return &q.buf[q.head] }
@@ -142,7 +148,35 @@ func (c *CPU) nextInst(th *thread, out *isa.TraceInst) {
 	th.src.Next(out)
 }
 
+// mayFetch reports whether thread t can fetch this cycle: the policy
+// admits it and its front end can take an instruction.
+func (c *CPU) mayFetch(t int) bool {
+	th := &c.threads[t]
+	return !th.finished && !th.flushWait && th.fetchStalledUntil <= c.now &&
+		th.fq.len() < c.cfg.FrontEndBuf && c.pol.MayFetch(&c.snaps[t])
+}
+
 func (c *CPU) fetch() {
+	// Only the threads that can fetch now need an order, and the policy's
+	// order is a stable sort, so the full order restricted to them is
+	// theirs. With none or one there is nothing to order: the policy only
+	// advances its rotor, as a FetchOrder call would.
+	can, first := 0, -1
+	for t := range c.threads {
+		c.canFetch[t] = c.mayFetch(t)
+		if c.canFetch[t] {
+			if can++; can == 1 {
+				first = t
+			}
+		}
+	}
+	if can <= 1 {
+		c.pol.SkipCycles(1, c.cfg.Threads)
+		if can == 1 {
+			c.fetchThread(first, &c.threads[first], c.cfg.FetchWidth)
+		}
+		return
+	}
 	c.order = c.pol.FetchOrder(c.snaps, c.order)
 	budget := c.cfg.FetchWidth
 	threadsUsed := 0
@@ -150,13 +184,12 @@ func (c *CPU) fetch() {
 		if budget <= 0 || threadsUsed >= c.cfg.FetchThreads {
 			break
 		}
+		// Fetching one thread leaves every other thread's verdict as it
+		// was, and no thread comes twice.
+		if !c.canFetch[tid] {
+			continue
+		}
 		th := &c.threads[tid]
-		if th.finished || th.flushWait || th.fetchStalledUntil > c.now {
-			continue
-		}
-		if th.fq.len() >= c.cfg.FrontEndBuf {
-			continue
-		}
 		n := c.fetchThread(tid, th, budget)
 		if n > 0 {
 			budget -= n
@@ -177,7 +210,9 @@ func (c *CPU) fetchThread(tid int, th *thread, limit int) int {
 			count++
 			continue
 		}
-		inst := &th.instScratch
+		// The instruction is read straight into the queue's free slot.
+		e := th.fq.slot()
+		inst := &e.inst
 		c.nextInst(th, inst)
 		if !checkedICache {
 			// One I-cache probe per fetch block; a miss stalls the thread.
@@ -190,39 +225,37 @@ func (c *CPU) fetchThread(tid int, th *thread, limit int) int {
 				break
 			}
 		}
-		e := feEntry{inst: *inst, readyAt: readyAt}
-		if inst.Op == isa.OpBranch {
-			hist := c.gshare.Hist(tid)
-			pred := c.gshare.Predict(inst.PC, hist)
-			e.isBranch = true
-			e.hist = hist
-			e.predTaken = pred
-			c.gshare.PushHist(tid, pred)
-			th.fq.push(e)
-			th.fetched++
-			c.stats.Fetched[tid]++
-			count++
-			if pred != inst.Taken {
-				// Mispredicted: subsequent fetch runs down the wrong path
-				// until the branch resolves and squashes it.
-				th.mispredPending = true
-				th.wrongPath = true
-			}
-			if pred {
-				// Fetch block ends at a predicted-taken branch; a BTB miss
-				// leaves the target unknown until decode computes it, so
-				// fetch resumes after the configured redirect bubble.
-				if _, ok := c.btb.Lookup(inst.PC); !ok {
-					th.fetchStalledUntil = c.now + int64(c.cfg.BTBMissBubble)
-				}
-				break
-			}
-			continue
-		}
-		th.fq.push(e)
+		e.readyAt = readyAt
+		e.wrongPath = false
+		e.isBranch = inst.Op == isa.OpBranch
+		th.fq.n++
 		th.fetched++
 		c.stats.Fetched[tid]++
 		count++
+		if !e.isBranch {
+			e.hist, e.predTaken = 0, false
+			continue
+		}
+		hist := c.gshare.Hist(tid)
+		pred := c.gshare.Predict(inst.PC, hist)
+		e.hist = hist
+		e.predTaken = pred
+		c.gshare.PushHist(tid, pred)
+		if pred != inst.Taken {
+			// Mispredicted: subsequent fetch runs down the wrong path
+			// until the branch resolves and squashes it.
+			th.mispredPending = true
+			th.wrongPath = true
+		}
+		if pred {
+			// Fetch block ends at a predicted-taken branch; a BTB miss
+			// leaves the target unknown until decode computes it, so
+			// fetch resumes after the configured redirect bubble.
+			if _, ok := c.btb.Lookup(inst.PC); !ok {
+				th.fetchStalledUntil = c.now + int64(c.cfg.BTBMissBubble)
+			}
+			break
+		}
 	}
 	return count
 }
@@ -233,9 +266,6 @@ func (c *CPU) dispatch() {
 	budget := c.cfg.DispatchWidth
 	n := c.cfg.Threads
 	tid := c.dispatchRR
-	// telState is always present, so the per-thread outcome is recorded
-	// unconditionally; only telemetry reads it.
-	st := c.telState
 	for i := 0; i < n && budget > 0; i++ {
 		if i > 0 {
 			tid++
@@ -244,6 +274,7 @@ func (c *CPU) dispatch() {
 			}
 		}
 		th := &c.threads[tid]
+		dispatched := 0
 		for budget > 0 && th.fq.len() > 0 {
 			fe := th.fq.peek()
 			if fe.readyAt > c.now {
@@ -252,14 +283,18 @@ func (c *CPU) dispatch() {
 			if cause := c.dispatchOne(tid, th, fe); cause != telemetry.CauseNone {
 				// In-order dispatch: head-of-line blocks the thread; the
 				// cycle is charged to the first blocking resource.
-				if st.Dispatched[tid] == 0 {
-					st.Causes[tid] = cause
+				th.blockedAt = c.now
+				if dispatched == 0 && c.tel != nil {
+					c.telState.Causes[tid] = cause
 				}
 				break
 			}
 			th.fq.pop()
 			budget--
-			st.Dispatched[tid]++
+			dispatched++
+		}
+		if c.tel != nil {
+			c.telState.Dispatched[tid] = uint8(dispatched)
 		}
 	}
 	c.dispatchRR++
@@ -294,14 +329,15 @@ func (c *CPU) dispatchGate(tid int, th *thread, fe *feEntry) telemetry.Cause {
 	if !c.rob.CanDispatch(tid) {
 		return c.robStallCause(tid, th)
 	}
-	if c.iq.Free() == 0 || !c.pol.MayDispatchIQ(tid, c.snaps) {
+	iqFree := c.iq.Free()
+	if iqFree == 0 || (c.capsDispatch && !c.pol.MayDispatchIQ(tid, c.snaps)) {
 		return telemetry.CauseIQFull
 	}
 	// A thread dispatching beyond its private first level (the
 	// second-level owner) must leave issue-queue headroom for the other
 	// threads, exactly like the rename-register reserve below: the grant
 	// is not a licence to starve co-runners of dispatch slots.
-	if c.iq.Free() <= 2*c.cfg.Threads && c.rob.Ring(tid).Len() >= c.cfg.ROB.L1Size {
+	if iqFree <= 2*c.cfg.Threads && c.rob.Ring(tid).Len() >= c.cfg.ROB.L1Size {
 		return telemetry.CauseIQFull
 	}
 	if inst.Op.IsMem() && !c.lsq.CanInsert(tid) {
@@ -371,14 +407,16 @@ func (c *CPU) dispatchOne(tid int, th *thread, fe *feEntry) telemetry.Cause {
 		u.Mispred = true
 	}
 
-	e := iq.Entry{H: uop.Handle{Tid: int8(tid), Slot: slot}, Seq: u.Seq, Op: u.Op, Src: u.SrcPhys}
+	var rdy [2]bool
 	for k, s := range u.SrcPhys {
-		e.Rdy[k] = s == uop.NoReg || c.rf.Ready(s)
+		rdy[k] = s == uop.NoReg || c.rf.Ready(s)
 	}
-	if !c.iq.Insert(e) {
+	if !c.iq.Insert(u, rdy) {
 		panic("pipeline: IQ insert failed after availability check")
 	}
-	c.snaps[tid].IQ++
+	if c.snaps[tid].IQ++; c.snaps[tid].IQ == 1 {
+		c.pol.Observe(c.snaps)
+	}
 	if fe.wrongPath {
 		c.stats.WrongPathDispatched++
 	}

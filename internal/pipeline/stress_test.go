@@ -36,7 +36,7 @@ func stressRun(t *testing.T, cfg Config, srcs []TraceSource, cycles int64, check
 	}
 }
 
-func mixSources(t *testing.T, name string, seed uint64) []TraceSource {
+func mixSources(t testing.TB, name string, seed uint64) []TraceSource {
 	t.Helper()
 	mix, ok := workload.MixByName(name)
 	if !ok {

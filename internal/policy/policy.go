@@ -68,9 +68,18 @@ type Snapshot struct {
 type Policy interface {
 	// Name returns the policy's canonical name.
 	Name() string
-	// FetchOrder fills order with thread indices in fetch-priority order,
-	// excluding threads that must not fetch this cycle, and returns it.
+	// MayFetch reports whether a thread in state s may fetch this cycle;
+	// FetchOrder lists exactly the threads it admits.
+	MayFetch(s *Snapshot) bool
+	// FetchOrder fills order with the admitted thread indices in
+	// fetch-priority order and returns it. The order is a stable sort, so
+	// restricted to any subset of threads it is that subset's order.
 	FetchOrder(snaps []Snapshot, order []int) []int
+	// Observe tells the policy that snaps changed. The pipeline calls it
+	// after every rebuild, and when dispatch raises a thread's IQ count
+	// from zero; MayDispatchIQ decides from what the last call saw, plus
+	// snaps[tid] itself.
+	Observe(snaps []Snapshot)
 	// MayDispatchIQ reports whether tid may insert one more instruction
 	// into the shared issue queue (DCRA's hard per-thread sharing
 	// counters; the other policies never refuse).
@@ -148,35 +157,37 @@ func (r *rotor) SkipCycles(k int64, threads int) {
 	r.rr = int((int64(r.rr) + k) % int64(threads))
 }
 
+// Observe is a no-op: only DCRA keeps state derived from the snapshots.
+func (*rotor) Observe([]Snapshot) {}
+
 // icountOrder sorts runnable threads by fewest in-flight front-end+IQ
 // instructions — the ICOUNT heuristic every policy here reuses for
-// ordering. Candidates are enumerated starting at a rotating offset so
-// the stable sort breaks count ties fairly.
+// ordering. Candidates are enumerated starting at a rotating offset and
+// each is inserted behind every candidate whose count it does not beat,
+// so equal-count threads keep their rotated order (a stable sort), with
+// each count read once and nothing boxed.
 func icountOrder(snaps []Snapshot, order []int, off int, skip func(*Snapshot) bool) []int {
 	order = order[:0]
 	n := len(snaps)
+	var keyBuf [8]int
+	keys := keyBuf[:0]
 	t := off - 1 // off is a rotor value, in [0, n)
 	for i := 0; i < n; i++ {
 		if t++; t == n {
 			t = 0
 		}
-		if snaps[t].Finished || (skip != nil && skip(&snaps[t])) {
+		s := &snaps[t]
+		if s.Finished || (skip != nil && skip(s)) {
 			continue
 		}
+		k := s.FrontEnd + s.IQ
+		j := len(order)
 		order = append(order, t)
-	}
-	// Stable insertion sort: equal-count threads keep their rotated
-	// enumeration order, and nothing is boxed — sort.SliceStable here
-	// allocated twice per simulated cycle.
-	for i := 1; i < len(order); i++ {
-		for j := i; j > 0; j-- {
-			sa := snaps[order[j-1]].FrontEnd + snaps[order[j-1]].IQ
-			sb := snaps[order[j]].FrontEnd + snaps[order[j]].IQ
-			if sb >= sa {
-				break
-			}
-			order[j-1], order[j] = order[j], order[j-1]
+		keys = append(keys, k)
+		for ; j > 0 && keys[j-1] > k; j-- {
+			order[j], keys[j] = order[j-1], keys[j-1]
 		}
+		order[j], keys[j] = t, k
 	}
 	return order
 }
@@ -185,7 +196,8 @@ func icountOrder(snaps []Snapshot, order []int, off int, skip func(*Snapshot) bo
 // fewest instructions in the front end and issue queue; no resource caps.
 type icount struct{ rotor }
 
-func (*icount) Name() string { return "icount" }
+func (*icount) Name() string              { return "icount" }
+func (*icount) MayFetch(s *Snapshot) bool { return !s.Finished }
 func (p *icount) FetchOrder(snaps []Snapshot, order []int) []int {
 	return icountOrder(snaps, order, p.next(len(snaps)), nil)
 }
@@ -196,20 +208,25 @@ func (*icount) FlushOnL2Miss() bool                { return false }
 // L2 miss fetches nothing until the miss returns.
 type stall struct{ rotor }
 
-func (*stall) Name() string { return "stall" }
+func (*stall) Name() string              { return "stall" }
+func (*stall) MayFetch(s *Snapshot) bool { return !s.Finished && !l2Gated(s) }
 func (p *stall) FetchOrder(snaps []Snapshot, order []int) []int {
-	return icountOrder(snaps, order, p.next(len(snaps)), func(s *Snapshot) bool { return s.PendingL2Miss })
+	return icountOrder(snaps, order, p.next(len(snaps)), l2Gated)
 }
 func (*stall) MayDispatchIQ(int, []Snapshot) bool { return true }
 func (*stall) FlushOnL2Miss() bool                { return false }
+
+// l2Gated holds a thread with an outstanding L2 miss (STALL, FLUSH).
+func l2Gated(s *Snapshot) bool { return s.PendingL2Miss }
 
 // flush extends STALL by squashing the instructions already dispatched
 // after the missing load, freeing the shared IQ for other threads.
 type flush struct{ rotor }
 
-func (*flush) Name() string { return "flush" }
+func (*flush) Name() string              { return "flush" }
+func (*flush) MayFetch(s *Snapshot) bool { return !s.Finished && !l2Gated(s) }
 func (p *flush) FetchOrder(snaps []Snapshot, order []int) []int {
-	return icountOrder(snaps, order, p.next(len(snaps)), func(s *Snapshot) bool { return s.PendingL2Miss })
+	return icountOrder(snaps, order, p.next(len(snaps)), l2Gated)
 }
 func (*flush) MayDispatchIQ(int, []Snapshot) bool { return true }
 func (*flush) FlushOnL2Miss() bool                { return true }
@@ -219,14 +236,17 @@ func (*flush) FlushOnL2Miss() bool                { return true }
 // threads with overlapped misses ahead keep fetching to uncover them [25].
 type mlpAware struct{ rotor }
 
-func (*mlpAware) Name() string { return "mlp" }
+func (*mlpAware) Name() string              { return "mlp" }
+func (*mlpAware) MayFetch(s *Snapshot) bool { return !s.Finished && !mlpGated(s) }
 func (p *mlpAware) FetchOrder(snaps []Snapshot, order []int) []int {
-	return icountOrder(snaps, order, p.next(len(snaps)), func(s *Snapshot) bool {
-		return s.PendingL2Miss && s.PredictedMLP <= 1
-	})
+	return icountOrder(snaps, order, p.next(len(snaps)), mlpGated)
 }
 func (*mlpAware) MayDispatchIQ(int, []Snapshot) bool { return true }
 func (*mlpAware) FlushOnL2Miss() bool                { return false }
+
+// mlpGated holds a thread whose current miss episode is predicted to
+// expose no memory-level parallelism.
+func mlpGated(s *Snapshot) bool { return s.PendingL2Miss && s.PredictedMLP <= 1 }
 
 // dcra approximates Dynamically Controlled Resource Allocation [3]:
 // threads are "slow" for the shared resources while they have a pending
@@ -239,9 +259,15 @@ type dcra struct {
 	rotor
 	alpha  float64
 	iqSize int
+
+	// limits[slow][owns] is the IQ share of a sharer with (slow) or
+	// without a pending data-cache miss, holding the second-level ROB
+	// (owns) or not, as of the last Observe; 0 when nobody shares.
+	limits [2][2]int
 }
 
-func (*dcra) Name() string { return "dcra" }
+func (*dcra) Name() string              { return "dcra" }
+func (*dcra) MayFetch(s *Snapshot) bool { return !s.Finished }
 
 func (d *dcra) FetchOrder(snaps []Snapshot, order []int) []int {
 	order = icountOrder(snaps, order, d.next(len(snaps)), nil)
@@ -259,6 +285,49 @@ func (d *dcra) FetchOrder(snaps []Snapshot, order []int) []int {
 	return order
 }
 
+// Observe counts the IQ's sharers — unfinished threads holding entries —
+// and derives each kind of sharer's limit from the counts. A thread that
+// holds no entry is never over its share (every limit is at least 1), so
+// the sharers a query would add for itself never change an answer, and
+// a count only moves when a snapshot is rebuilt or a thread's IQ count
+// leaves zero.
+func (d *dcra) Observe(snaps []Snapshot) {
+	fast, slow := 0, 0
+	for t := range snaps {
+		o := &snaps[t]
+		if o.Finished || o.IQ == 0 {
+			continue
+		}
+		if o.PendingDMiss {
+			slow++
+		} else {
+			fast++
+		}
+	}
+	den := float64(fast) + d.alpha*float64(slow)
+	if den <= 0 {
+		d.limits = [2][2]int{}
+		return
+	}
+	for s := range d.limits {
+		for o := range d.limits[s] {
+			share := float64(d.iqSize) / den
+			if s == 1 {
+				share *= d.alpha
+			}
+			if o == 1 {
+				// The second-level ROB grant comes with a doubled IQ
+				// budget: the DoD threshold guarantees the extra shadow
+				// instructions mostly issue and leave quickly (paper §1),
+				// so the extended window needs headroom without being
+				// allowed to clog the queue outright.
+				share *= 2
+			}
+			d.limits[s][o] = max(int(share), 1)
+		}
+	}
+}
+
 // MayDispatchIQ enforces DCRA's hard per-thread issue-queue sharing
 // counters. Shares follow the DCRA sharing model: with F fast-active and
 // S slow-active sharers of a pool of size E, a fast thread's share is
@@ -270,46 +339,19 @@ func (d *dcra) FetchOrder(snaps []Snapshot, order []int) []int {
 // lets a slow thread consume renaming capacity the fast threads are not
 // using — DCRA's defining generosity toward threads with misses.
 func (d *dcra) MayDispatchIQ(tid int, snaps []Snapshot) bool {
-	return !d.overShare(&snaps[tid], snaps)
+	s := &snaps[tid]
+	if s.IQ == 0 {
+		return true
+	}
+	limit := d.limits[b2i(s.PendingDMiss)][b2i(s.OwnsROB)]
+	return limit == 0 || s.IQ < limit
 }
 
-func (d *dcra) overShare(s *Snapshot, snaps []Snapshot) bool {
-	fast, slow := 0, 0
-	for t := range snaps {
-		o := &snaps[t]
-		if o.Finished {
-			continue
-		}
-		if o.IQ == 0 && o != s {
-			continue
-		}
-		if o.PendingDMiss {
-			slow++
-		} else {
-			fast++
-		}
+func b2i(b bool) int {
+	if b {
+		return 1
 	}
-	den := float64(fast) + d.alpha*float64(slow)
-	if den <= 0 {
-		return false
-	}
-	share := float64(d.iqSize) / den
-	if s.PendingDMiss {
-		share *= d.alpha
-	}
-	if s.OwnsROB {
-		// The second-level ROB grant comes with a doubled IQ budget:
-		// the DoD threshold guarantees the extra shadow instructions
-		// mostly issue and leave quickly (paper §1), so the extended
-		// window needs headroom without being allowed to clog the
-		// queue outright.
-		share *= 2
-	}
-	limit := int(share)
-	if limit < 1 {
-		limit = 1
-	}
-	return s.IQ >= limit
+	return 0
 }
 
 func (*dcra) FlushOnL2Miss() bool { return false }

@@ -99,6 +99,7 @@ func TestDCRAIQShares(t *testing.T) {
 		{IQ: 20, PendingDMiss: true}, // slow, under share
 		{IQ: 21, PendingDMiss: true}, // slow, at share
 	}
+	p.Observe(snaps)
 	if !p.MayDispatchIQ(0, snaps) {
 		t.Error("fast thread under share refused")
 	}
@@ -122,10 +123,12 @@ func TestDCRAOwnerDoubleBudget(t *testing.T) {
 		{IQ: 5},
 	}
 	// Slow share = 2*64/(2+2*2) = 21; the owner gets 2x = 42.
+	p.Observe(snaps)
 	if !p.MayDispatchIQ(0, snaps) {
 		t.Error("owner refused within doubled budget")
 	}
 	snaps[0].IQ = 45
+	p.Observe(snaps)
 	if p.MayDispatchIQ(0, snaps) {
 		t.Error("owner allowed beyond doubled budget")
 	}
@@ -154,6 +157,7 @@ func TestDCRAInactiveThreadsDoNotDilute(t *testing.T) {
 		{IQ: 0},
 		{IQ: 0},
 	}
+	p.Observe(snaps)
 	if !p.MayDispatchIQ(0, snaps) {
 		t.Error("sole active thread capped as if sharing")
 	}

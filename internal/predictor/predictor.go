@@ -135,6 +135,16 @@ func NewBTB(entries, assoc int) (*BTB, error) {
 	}, nil
 }
 
+// Reset returns the BTB to the state NewBTB leaves: every entry invalid
+// and the LRU clock at zero.
+func (b *BTB) Reset() {
+	clear(b.tags)
+	clear(b.targets)
+	clear(b.valid)
+	clear(b.lru)
+	b.stamp = 0
+}
+
 func (b *BTB) set(pc uint64) int { return int((pc >> 2) & uint64(b.sets-1)) }
 
 // Lookup returns the predicted target for pc, if present.

@@ -55,6 +55,14 @@ func NewRing(capacity int) *Ring {
 	}
 }
 
+// Reset returns the ring to the state NewRing leaves: empty, every entry
+// zeroed, no DoD-index bits and no counted writes.
+func (r *Ring) Reset() {
+	clear(r.entries)
+	clear(r.unexecBit)
+	r.head, r.count, r.indexWrites = 0, 0, 0
+}
+
 // Len returns the number of live entries.
 func (r *Ring) Len() int { return int(r.count) }
 

@@ -156,7 +156,7 @@ type TwoLevel struct {
 	cfg     Config
 	rings   []*Ring
 	owner   int
-	tickRot int // rotating start index for fair grant arbitration
+	tickRot int // rotating start index for fair grant arbitration, in [0, Threads)
 	misses  [][]missRecord
 	pred    *DoDPredictor
 	stats   Stats
@@ -206,7 +206,12 @@ type TwoLevel struct {
 }
 
 // New builds the two-level ROB state.
-func New(cfg Config) (*TwoLevel, error) {
+func New(cfg Config) (*TwoLevel, error) { return NewWithRings(cfg, NewRing) }
+
+// NewWithRings is New with each thread's ring taken from newRing, which
+// must return an empty ring of the given physical capacity in the state
+// NewRing leaves (a released ring after Reset qualifies).
+func NewWithRings(cfg Config, newRing func(capacity int) *Ring) (*TwoLevel, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -224,7 +229,7 @@ func New(cfg Config) (*TwoLevel, error) {
 		phys = cfg.L1Size * cfg.Threads
 	}
 	for i := range t.rings {
-		t.rings[i] = NewRing(phys)
+		t.rings[i] = newRing(phys)
 	}
 	if cfg.Scheme == Predictive {
 		p, err := NewDoDPredictor(cfg.PredEntries, cfg.PredPathHash, cfg.PredHistBits)
@@ -266,15 +271,26 @@ func (t *TwoLevel) Capacity(tid int) int {
 }
 
 // CanDispatch reports whether tid may insert another instruction.
+// It is small enough to inline into the pipeline's dispatch gate; the
+// shared pool's sum over every ring lives in sharedHasRoom.
 func (t *TwoLevel) CanDispatch(tid int) bool {
 	if t.cfg.Scheme == SharedSingle {
-		total := 0
-		for _, r := range t.rings {
-			total += r.Len()
-		}
-		return total < t.cfg.L1Size*t.cfg.Threads
+		return t.sharedHasRoom()
 	}
-	return t.rings[tid].Len() < t.Capacity(tid)
+	limit := t.cfg.L1Size
+	if t.owner == tid {
+		limit += t.cfg.L2Size
+	}
+	return t.rings[tid].Len() < limit
+}
+
+// sharedHasRoom reports whether the SharedSingle pool has a free entry.
+func (t *TwoLevel) sharedHasRoom() bool {
+	total := 0
+	for _, r := range t.rings {
+		total += r.Len()
+	}
+	return total < t.cfg.L1Size*t.cfg.Threads
 }
 
 // Stats returns the manager counters.
@@ -333,7 +349,7 @@ func (t *TwoLevel) FastForward(lastTick int64, k int64) {
 	if t.cfg.Scheme == Baseline || t.cfg.Scheme == SharedSingle {
 		return
 	}
-	t.tickRot += int(k)
+	t.tickRot = int((int64(t.tickRot) + k) % int64(len(t.misses)))
 	if t.undecided == 0 {
 		return
 	}
@@ -519,7 +535,9 @@ func (t *TwoLevel) Tick(now int64) {
 	if t.cfg.Scheme == Baseline || t.cfg.Scheme == SharedSingle {
 		return
 	}
-	t.tickRot++
+	if t.tickRot++; t.tickRot == len(t.misses) {
+		t.tickRot = 0
+	}
 	if t.undecided == 0 && t.retries == 0 {
 		// Nothing needs evaluation or a grant retry; skip the record scan
 		// (the common steady state on execution-bound phases).
@@ -534,7 +552,7 @@ func (t *TwoLevel) Tick(now int64) {
 		t.maybeRelease()
 		return
 	}
-	tid := t.tickRot % n
+	tid := t.tickRot
 	for i := 0; i < n; i++ {
 		if i > 0 {
 			tid++
