@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/policy"
 	"repro/internal/rob"
 )
 
@@ -13,13 +14,15 @@ import (
 const ledgerGolden = "testdata/work_ledger.golden"
 
 // ledgerHeader names the columns of ledgerGolden.
-const ledgerHeader = "# scheme mix seed cycles stepped skip_spans events_pushed events_popped ready_entries gate_evals load_checks lsq_inspected dod_index_writes iq_compares wakeup_visits cache_lookups"
+const ledgerHeader = "# policy scheme mix seed cycles stepped skip_spans events_pushed events_popped ready_entries gate_evals load_checks lsq_inspected dod_index_writes iq_compares wakeup_visits cache_lookups"
 
 // ledgerLine runs one configuration of the matrix and formats its work
 // ledger as one line of ledgerGolden.
-func ledgerLine(t *testing.T, scheme string, cfg rob.Config, mix string, seed uint64) string {
+func ledgerLine(t *testing.T, kind policy.Kind, scheme string, cfg rob.Config, mix string, seed uint64) string {
 	t.Helper()
-	c, err := New(DefaultConfig(4, cfg), mixSources(t, mix, seed))
+	pcfg := DefaultConfig(4, cfg)
+	pcfg.PolicyKind = kind
+	c, err := New(pcfg, mixSources(t, mix, seed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,15 +37,17 @@ func ledgerLine(t *testing.T, scheme string, cfg rob.Config, mix string, seed ui
 	c.Release()
 	w := c.work
 	lookups := res.L1I.Accesses + res.L1D.Accesses + res.L2.Accesses
-	return fmt.Sprintf("%s %s %d %d %d %d %d %d %d %d %d %d %d %d %d %d",
-		scheme, strings.ReplaceAll(mix, " ", ""), seed, res.Cycles, c.stepped, w.skipSpans,
+	return fmt.Sprintf("%v %s %s %d %d %d %d %d %d %d %d %d %d %d %d %d %d",
+		kind, scheme, strings.ReplaceAll(mix, " ", ""), seed, res.Cycles, c.stepped, w.skipSpans,
 		w.eventsPushed, w.eventsPopped, w.readyEntries, w.gateEvals, w.loadChecks,
 		c.lsq.Inspected(), dodWrites, c.iq.Compares(), c.iq.WaiterVisits(), lookups)
 }
 
 // TestWorkLedgerGolden pins the work the engine does, counted instead of
-// timed so that host noise cannot hide a change: four schemes × Mix 1
-// and Mix 10 × seeds 1 and 2, budget 20k. Any difference fails. An
+// timed so that host noise cannot hide a change: DCRA (DefaultConfig's
+// policy) and ICOUNT (every figure's and benchmark cell's) × four
+// schemes × Mix 1 and Mix 10 × seeds 1 and 2, budget 20k. Any
+// difference fails. An
 // optimisation that changes a count on purpose re-records the file from
 // the table this test prints on failure and lists every changed count,
 // before and after, in CHANGES.md.
@@ -57,10 +62,12 @@ func TestWorkLedgerGolden(t *testing.T) {
 		{"PROB_5", rob.DefaultConfig(4, rob.Predictive, 5)},
 	}
 	got := []string{ledgerHeader}
-	for _, sc := range schemes {
-		for _, mix := range []string{"Mix 1", "Mix 10"} {
-			for _, seed := range []uint64{1, 2} {
-				got = append(got, ledgerLine(t, sc.name, sc.cfg, mix, seed))
+	for _, kind := range []policy.Kind{policy.DCRA, policy.ICOUNT} {
+		for _, sc := range schemes {
+			for _, mix := range []string{"Mix 1", "Mix 10"} {
+				for _, seed := range []uint64{1, 2} {
+					got = append(got, ledgerLine(t, kind, sc.name, sc.cfg, mix, seed))
+				}
 			}
 		}
 	}
