@@ -47,7 +47,7 @@ type IQ struct {
 	perThread []int
 	free      []int    // stack of free slot indices (O(1) insert)
 	ready     []uint64 // bitmap: valid && both sources ready
-	heads     []int32  // per physical register: first waiter node or -1, grown on demand
+	heads     []int32  // per physical register: first waiter node or -1
 	next      []int32  // per waiter node: next node on its register's list, or -1
 	prev      []int32  // per waiter node: previous node, or -1 at the head
 	stats     Stats
@@ -67,21 +67,26 @@ type Stats struct {
 	Cycles       uint64
 }
 
-// New builds an issue queue with the given size and thread count.
-func New(size, threads int) (*IQ, error) {
-	if size < 1 || threads < 1 {
-		return nil, fmt.Errorf("iq: bad geometry size=%d threads=%d", size, threads)
+// New builds an issue queue with the given size and thread count whose
+// sources name physical registers in [0, regs).
+func New(size, threads, regs int) (*IQ, error) {
+	if size < 1 || threads < 1 || regs < 1 {
+		return nil, fmt.Errorf("iq: bad geometry size=%d threads=%d regs=%d", size, threads, regs)
 	}
 	q := &IQ{
 		entries:   make([]Entry, size),
 		perThread: make([]int, threads),
 		free:      make([]int, size),
 		ready:     make([]uint64, (size+63)/64),
+		heads:     make([]int32, regs),
 		next:      make([]int32, 2*size),
 		prev:      make([]int32, 2*size),
 	}
 	for i := range q.free {
 		q.free[i] = size - 1 - i
+	}
+	for i := range q.heads {
+		q.heads[i] = -1
 	}
 	return q, nil
 }
@@ -141,9 +146,6 @@ func (q *IQ) clrReady(i int) { q.ready[i>>6] &^= 1 << (uint(i) & 63) }
 // the register that source names.
 func (q *IQ) link(i, k int) {
 	phys := q.entries[i].Src[k]
-	for int(phys) >= len(q.heads) {
-		q.heads = append(q.heads, -1)
-	}
 	n := int32(2*i + k)
 	h := q.heads[phys]
 	q.next[n], q.prev[n] = h, -1
@@ -209,9 +211,6 @@ func (q *IQ) Insert(u *uop.UOp, rdy [2]bool) bool {
 
 // Wakeup broadcasts a completed physical register to its waiting entries.
 func (q *IQ) Wakeup(phys int32) {
-	if int(phys) >= len(q.heads) {
-		return
-	}
 	visits := 0
 	for n := q.heads[phys]; n >= 0; n = q.next[n] {
 		visits++

@@ -22,6 +22,10 @@ func entry(tid int8, seq uint64, srcs ...int32) Entry {
 	return e
 }
 
+// testRegs is the physical register count of the queues below: every
+// register a test names is a uint8.
+const testRegs = 256
+
 // ins inserts e's fields.
 func ins(q *IQ, e Entry) bool {
 	u := uop.UOp{Tid: e.H.Tid, RobSlot: e.H.Slot, Seq: e.Seq, Op: e.Op, SrcPhys: e.Src}
@@ -29,7 +33,7 @@ func ins(q *IQ, e Entry) bool {
 }
 
 func TestInsertAndCapacity(t *testing.T) {
-	q, err := New(4, 2)
+	q, err := New(4, 2, testRegs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +54,7 @@ func TestInsertAndCapacity(t *testing.T) {
 }
 
 func TestWakeupAndSelect(t *testing.T) {
-	q, _ := New(8, 1)
+	q, _ := New(8, 1, testRegs)
 	ins(q, entry(0, 1, 100, 101))
 	ins(q, entry(0, 2)) // always ready
 	buf := q.CollectReady(nil)
@@ -69,7 +73,7 @@ func TestWakeupAndSelect(t *testing.T) {
 }
 
 func TestOldestFirstOrder(t *testing.T) {
-	q, _ := New(8, 1)
+	q, _ := New(8, 1, testRegs)
 	ins(q, entry(0, 30))
 	ins(q, entry(0, 10))
 	ins(q, entry(0, 20))
@@ -84,7 +88,7 @@ func TestOldestFirstOrder(t *testing.T) {
 }
 
 func TestRemoveFreesSlot(t *testing.T) {
-	q, _ := New(2, 1)
+	q, _ := New(2, 1, testRegs)
 	ins(q, entry(0, 1))
 	ins(q, entry(0, 2))
 	buf := q.CollectReady(nil)
@@ -101,7 +105,7 @@ func TestRemoveFreesSlot(t *testing.T) {
 }
 
 func TestSquashYounger(t *testing.T) {
-	q, _ := New(8, 2)
+	q, _ := New(8, 2, testRegs)
 	ins(q, entry(0, 10))
 	ins(q, entry(0, 20))
 	ins(q, entry(1, 15)) // other thread, must survive
@@ -119,7 +123,7 @@ func TestSquashYounger(t *testing.T) {
 }
 
 func TestOccupancyStats(t *testing.T) {
-	q, _ := New(4, 1)
+	q, _ := New(4, 1, testRegs)
 	ins(q, entry(0, 1))
 	q.Tick()
 	q.Tick()
@@ -130,11 +134,14 @@ func TestOccupancyStats(t *testing.T) {
 }
 
 func TestValidation(t *testing.T) {
-	if _, err := New(0, 1); err == nil {
+	if _, err := New(0, 1, testRegs); err == nil {
 		t.Error("zero size accepted")
 	}
-	if _, err := New(4, 0); err == nil {
+	if _, err := New(4, 0, testRegs); err == nil {
 		t.Error("zero threads accepted")
+	}
+	if _, err := New(4, 1, 0); err == nil {
+		t.Error("zero registers accepted")
 	}
 }
 
@@ -142,7 +149,7 @@ func TestValidation(t *testing.T) {
 // invariants hold across random operation sequences.
 func TestQuickIQAccounting(t *testing.T) {
 	f := func(ops []uint8) bool {
-		q, err := New(16, 4)
+		q, err := New(16, 4, testRegs)
 		if err != nil {
 			return false
 		}

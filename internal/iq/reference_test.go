@@ -122,7 +122,7 @@ func TestWakeupMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 200; trial++ {
 		const size, threads, regs = 16, 3, 12
-		q, err := New(size, threads)
+		q, err := New(size, threads, regs+2)
 		if err != nil {
 			t.Fatal(err)
 		}

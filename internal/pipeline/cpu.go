@@ -236,13 +236,13 @@ func newCPU(cfg Config, sources []TraceSource, from parts) (*CPU, error) {
 	if c.rob, err = rob.NewWithRings(cfg.ROB, from.ring); err != nil {
 		return nil, err
 	}
-	if c.iq, err = iq.New(cfg.IQSize, cfg.Threads); err != nil {
+	if c.rf, err = regfile.New(cfg.IntRegs, cfg.FPRegs, cfg.Threads); err != nil {
+		return nil, err
+	}
+	if c.iq, err = iq.New(cfg.IQSize, cfg.Threads, c.rf.Regs()); err != nil {
 		return nil, err
 	}
 	if c.lsq, err = lsq.New(cfg.Threads, cfg.LSQSize); err != nil {
-		return nil, err
-	}
-	if c.rf, err = regfile.New(cfg.IntRegs, cfg.FPRegs, cfg.Threads); err != nil {
 		return nil, err
 	}
 	if cfg.EarlyRegRelease {

@@ -24,9 +24,10 @@ import (
 )
 
 // obsState is the per-cycle observable machine state compared at every
-// aligned cycle. It deliberately excludes rob.TwoLevel's internal
-// nextDue/globalDue caches, which may transiently differ while both
-// engines agree on everything observable.
+// aligned cycle. It deliberately excludes rob.TwoLevel's nextDue and
+// globalDue scan gates: after a skipped span they may sit lower than
+// the naive engine's (never later than the next check), which costs
+// one idle scan and changes nothing observable.
 type obsState struct {
 	Now                  int64
 	DispatchRR, CommitRR int

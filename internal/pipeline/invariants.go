@@ -19,6 +19,9 @@ func (c *CPU) CheckInvariants() error {
 	if err := c.rf.CheckInvariants(); err != nil {
 		return err
 	}
+	if err := c.rob.CheckInvariants(); err != nil {
+		return err
+	}
 	if c.early != nil {
 		if err := c.early.CheckInvariants(); err != nil {
 			return err

@@ -54,7 +54,8 @@ func (c *CPU) advance(maxCycles int64) bool {
 //   - rob.TwoLevel: NextDue() is the earliest recheck of an undecided
 //     miss record that is not blocked against the current rings. A
 //     blocked recheck stays blocked while the rings are frozen, so it
-//     is no wake-up; rob.FastForward rolls it past the span. A pending
+//     is no wake-up, and the check schedule is a function of the
+//     clock, so a span needs nothing rolled forward. A pending
 //     grant retry with a free partition cannot outlive a Tick, but is
 //     re-checked defensively.
 //   - dispatch: a fetch-queue head that clears the front-end pipeline
@@ -179,7 +180,7 @@ func (c *CPU) nextInterestingCycle() int64 {
 
 // skipTo charges the provably idle cycles [from, to) in closed form,
 // advancing every piece of per-cycle state the naive ticker would have
-// touched: the ROB manager's rotation/ownership accounting, IQ occupancy
+// touched: the ROB manager's ownership accounting and clock, IQ occupancy
 // statistics, the policy's fetch rotor, the dispatch and commit
 // round-robin offsets, and — when telemetry is on — the stall,
 // occupancy and sample accounting, cause-by-cause.

@@ -104,10 +104,10 @@ func TestSkipAheadMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestSkipAheadMatchesNaiveRecheckIntervals covers the closed-form
-// roll-forward of blocked reactive rechecks (rob.FastForward) off the
-// paper's 10-cycle period: an interval of 1 makes every skipped cycle a
-// recheck, and 7 puts the rechecks out of phase with the memory latency.
+// TestSkipAheadMatchesNaiveRecheckIntervals covers skipped spans of
+// blocked reactive rechecks off the paper's 10-cycle period: an
+// interval of 1 makes every skipped cycle a recheck, and 7 puts the
+// rechecks out of phase with the memory latency.
 func TestSkipAheadMatchesNaiveRecheckIntervals(t *testing.T) {
 	seeds := []uint64{1, 2, 3}
 	if testing.Short() {

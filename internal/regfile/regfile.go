@@ -69,6 +69,9 @@ func New(numInt, numFP, threads int) (*File, error) {
 	return f, nil
 }
 
+// Regs returns the number of physical registers, integer and FP.
+func (f *File) Regs() int { return len(f.ready) }
+
 // IsFPPhys reports whether phys register p belongs to the FP pool.
 func (f *File) IsFPPhys(p int32) bool { return int(p) >= f.numInt }
 

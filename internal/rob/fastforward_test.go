@@ -50,7 +50,7 @@ func blockedManager(scheme Scheme, iv int) *TwoLevel {
 }
 
 // requireSameManager compares everything observable about two managers
-// plus the records and rotation that decide their future behaviour.
+// plus the records that decide their future behaviour.
 func requireSameManager(t *testing.T, naive, fast *TwoLevel) {
 	t.Helper()
 	if err := naive.CheckInvariants(); err != nil {
@@ -65,14 +65,14 @@ func requireSameManager(t *testing.T, naive, fast *TwoLevel) {
 	if naive.Stats() != fast.Stats() {
 		t.Fatalf("stats differ:\n naive: %+v\n fast:  %+v", naive.Stats(), fast.Stats())
 	}
-	if naive.tickRot != fast.tickRot || naive.owner != fast.owner || naive.lastNow != fast.lastNow {
-		t.Fatalf("rotation/owner/clock differ: naive (%d,%d,%d), fast (%d,%d,%d)",
-			naive.tickRot, naive.owner, naive.lastNow, fast.tickRot, fast.owner, fast.lastNow)
+	if naive.owner != fast.owner || naive.lastNow != fast.lastNow {
+		t.Fatalf("owner/clock differ: naive (%d,%d), fast (%d,%d)",
+			naive.owner, naive.lastNow, fast.owner, fast.lastNow)
 	}
 }
 
-// TestFastForwardMatchesTicks holds the closed-form roll-forward of
-// blocked rechecks to the per-cycle reference: FastForward(to-1, k) must
+// TestFastForwardMatchesTicks holds a skipped span of blocked rechecks
+// to the per-cycle reference: FastForward(to-1, k) must
 // leave the manager exactly as k single Ticks do, for spans ending
 // before, on and after each record's due cycle, and the two must still
 // agree once the rings move and the rechecks can succeed.
@@ -184,6 +184,9 @@ func TestNextDueWithoutRechecks(t *testing.T) {
 		tl.Tick(0)
 		if got := tl.NextDue(); got != math.MaxInt64 {
 			t.Fatalf("%v NextDue = %d, want MaxInt64", cfg.Scheme, got)
+		}
+		if err := tl.CheckInvariants(); err != nil {
+			t.Fatalf("%v: %v", cfg.Scheme, err)
 		}
 	}
 }

@@ -137,29 +137,28 @@ type Stats struct {
 
 // missRecord tracks one outstanding L2-missing load for scheme decisions.
 type missRecord struct {
-	slot        int32
-	pc          uint64
-	hist        uint64
-	detectedAt  int64
-	nextCheckAt int64
-	decided     bool // allocation decision already made (denied or granted)
-	wantAlloc   bool // decided-yes but partition was busy; retry
-	granted     bool // this miss holds (a share of) the partition grant
-	predicted   bool // a trained prediction was consulted (Predictive)
-	predBelow   bool // ... and it was below the threshold
+	slot       int32
+	pc         uint64
+	hist       uint64
+	detectedAt int64 // fixes the record's whole check schedule (nextCheck)
+	decided    bool  // allocation decision already made (denied or granted)
+	wantAlloc  bool  // decided-yes but partition was busy; retry
+	granted    bool  // this miss holds (a share of) the partition grant
+	predicted  bool  // a trained prediction was consulted (Predictive)
+	predBelow  bool  // ... and it was below the threshold
 }
 
 // TwoLevel owns the per-thread ROB rings and arbitrates the shared
 // second-level partition. The pipeline drives it with miss events and a
-// per-cycle Tick.
+// per-cycle Tick. Tick and FastForward together must cover every cycle
+// from 0: the grant arbitration's rotation is read off the clock.
 type TwoLevel struct {
-	cfg     Config
-	rings   []*Ring
-	owner   int
-	tickRot int // rotating start index for fair grant arbitration, in [0, Threads)
-	misses  [][]missRecord
-	pred    *DoDPredictor
-	stats   Stats
+	cfg    Config
+	rings  []*Ring
+	owner  int
+	misses [][]missRecord
+	pred   *DoDPredictor
+	stats  Stats
 
 	// Grant lifecycle hooks, all optional (nil = no observer, no cost
 	// beyond one nil check at each tenancy transition). Acquired fires
@@ -194,13 +193,13 @@ type TwoLevel struct {
 	retries   int
 	pending   []int
 
-	// nextDue[tid] is a conservative lower bound on the earliest
-	// nextCheckAt among tid's undecided records: the evaluation scan is
-	// skipped until that cycle. It may run early (after removals) but
-	// never late, so evaluations happen on exactly the same cycles.
-	// globalDue is the same bound across all threads, letting Tick return
-	// before even the per-thread loop. FastForward recomputes both exactly
-	// after rolling blocked rechecks past a skipped span.
+	// nextDue[tid] is a scan gate: a lower bound on the next nextCheck of
+	// tid's undecided records, so the evaluation scan is skipped until
+	// that cycle. It may run early (after removals or a skipped span, at
+	// the cost of one scan that finds nothing due) but never late, so
+	// evaluations happen on exactly the scheduled cycles. globalDue is the
+	// same bound across all threads, letting Tick return before even the
+	// per-thread loop.
 	nextDue   []int64
 	globalDue int64
 }
@@ -296,14 +295,13 @@ func (t *TwoLevel) sharedHasRoom() bool {
 // Stats returns the manager counters.
 func (t *TwoLevel) Stats() Stats { return t.stats }
 
-// NextDue returns the earliest cycle at which a Tick could take an
-// observable action for an undecided miss record, or math.MaxInt64 when
-// none can: the earliest nextCheckAt among undecided records whose
-// recheck is not blocked against the rings as they stand. A blocked
-// recheck only reschedules itself, and it stays blocked for as long as
-// the rings do not move — no dispatch, commit, squash or event — so the
-// pipeline's skip-ahead engine may jump past it and let FastForward roll
-// it forward in closed form.
+// NextDue returns the earliest cycle after the last one the manager saw
+// at which a Tick could take an observable action for an undecided miss
+// record, or math.MaxInt64 when none can: the earliest next check among
+// undecided records whose recheck is not blocked against the rings as
+// they stand. A blocked recheck changes nothing, and it stays blocked
+// for as long as the rings do not move — no dispatch, commit, squash or
+// event — so the pipeline's skip-ahead engine may jump past it.
 func (t *TwoLevel) NextDue() int64 {
 	due := int64(math.MaxInt64)
 	if t.undecided == 0 {
@@ -315,8 +313,11 @@ func (t *TwoLevel) NextDue() int64 {
 		}
 		for i := range recs {
 			rec := &recs[i]
-			if !rec.decided && rec.nextCheckAt < due && !t.recheckBlocked(tid, rec) {
-				due = rec.nextCheckAt
+			if rec.decided || t.recheckBlocked(tid, rec) {
+				continue
+			}
+			if next := t.nextCheck(rec, t.lastNow+1); next < due {
+				due = next
 			}
 		}
 	}
@@ -336,48 +337,13 @@ func (t *TwoLevel) PendingRetry() bool { return t.retries > 0 }
 // grant retry that could succeed, no release pending, and rings that do
 // not move. lastTick is the last cycle of the skipped span — Tick(lastTick)
 // is what the bookkeeping ends up equivalent to — and k is the span
-// length.
-//
-// Every recheck that fell due inside the span was blocked, so each of
-// those Ticks only moved it RecheckInterval cycles on; the record lands
-// on the first such cycle after lastTick.
+// length. Every check that fell due inside the span was blocked and so
+// changed nothing; the schedule itself is a function of the clock.
 func (t *TwoLevel) FastForward(lastTick int64, k int64) {
 	t.lastNow = lastTick
 	if t.owner >= 0 {
 		t.stats.OwnedCycles += uint64(k)
 	}
-	if t.cfg.Scheme == Baseline || t.cfg.Scheme == SharedSingle {
-		return
-	}
-	t.tickRot = int((int64(t.tickRot) + k) % int64(len(t.misses)))
-	if t.undecided == 0 {
-		return
-	}
-	iv := int64(t.cfg.RecheckInterval)
-	gd := int64(1) << 62
-	for tid, recs := range t.misses {
-		if t.pending[tid] == 0 {
-			continue
-		}
-		due := int64(1) << 62
-		for i := range recs {
-			rec := &recs[i]
-			if rec.decided {
-				continue
-			}
-			if rec.nextCheckAt <= lastTick {
-				rec.nextCheckAt += iv * ((lastTick - rec.nextCheckAt + iv) / iv)
-			}
-			if rec.nextCheckAt < due {
-				due = rec.nextCheckAt
-			}
-		}
-		t.nextDue[tid] = due
-		if due < gd {
-			gd = due
-		}
-	}
-	t.globalDue = gd
 }
 
 // Predictor returns the DoD predictor (nil unless Predictive).
@@ -389,14 +355,11 @@ func (t *TwoLevel) Predictor() *DoDPredictor { return t.pred }
 func (t *TwoLevel) MissDetected(tid int, slot int32, pc, hist uint64, now int64) {
 	t.lastNow = now
 	t.stats.MissesObserved++
-	rec := missRecord{slot: slot, pc: pc, hist: hist, detectedAt: now, nextCheckAt: now}
+	rec := missRecord{slot: slot, pc: pc, hist: hist, detectedAt: now}
 	if t.cfg.Scheme == Baseline || t.cfg.Scheme == SharedSingle {
 		// These never allocate, but the miss is still tracked so the
 		// service-time dependent counts (Figure 1) are observed.
 		rec.decided = true
-	}
-	if t.cfg.Scheme == CountDelayedReactive {
-		rec.nextCheckAt = now + int64(t.cfg.CountDelay)
 	}
 	if t.cfg.Scheme == Predictive {
 		dod, trained := t.pred.Predict(pc, hist)
@@ -422,11 +385,12 @@ func (t *TwoLevel) MissDetected(tid int, slot int32, pc, hist uint64, now int64)
 	if !rec.decided {
 		t.undecided++
 		t.pending[tid]++
-		if rec.nextCheckAt < t.nextDue[tid] {
-			t.nextDue[tid] = rec.nextCheckAt
+		next := t.nextCheck(&rec, now)
+		if next < t.nextDue[tid] {
+			t.nextDue[tid] = next
 		}
-		if rec.nextCheckAt < t.globalDue {
-			t.globalDue = rec.nextCheckAt
+		if next < t.globalDue {
+			t.globalDue = next
 		}
 	}
 	if rec.wantAlloc {
@@ -526,7 +490,9 @@ func (t *TwoLevel) EntrySquashed(tid int, slot int32) {
 }
 
 // Tick runs the per-cycle scheme evaluation: reactive condition checks,
-// pending-allocation retries and second-level release.
+// pending-allocation retries and second-level release. Threads are
+// visited from (now+1) mod Threads on, so grant arbitration rotates
+// fairly with the clock.
 func (t *TwoLevel) Tick(now int64) {
 	t.lastNow = now
 	if t.owner >= 0 {
@@ -534,9 +500,6 @@ func (t *TwoLevel) Tick(now int64) {
 	}
 	if t.cfg.Scheme == Baseline || t.cfg.Scheme == SharedSingle {
 		return
-	}
-	if t.tickRot++; t.tickRot == len(t.misses) {
-		t.tickRot = 0
 	}
 	if t.undecided == 0 && t.retries == 0 {
 		// Nothing needs evaluation or a grant retry; skip the record scan
@@ -552,7 +515,7 @@ func (t *TwoLevel) Tick(now int64) {
 		t.maybeRelease()
 		return
 	}
-	tid := t.tickRot
+	tid := int((now + 1) % int64(n))
 	for i := 0; i < n; i++ {
 		if i > 0 {
 			tid++
@@ -580,15 +543,16 @@ func (t *TwoLevel) Tick(now int64) {
 				}
 				continue
 			}
-			if now < rec.nextCheckAt {
-				if rec.nextCheckAt < due {
-					due = rec.nextCheckAt
-				}
+			var next int64
+			if t.recheckBlocked(tid, rec) {
+				// A check due now would change nothing.
+				next = t.nextCheck(rec, now+1)
+			} else if next = t.nextCheck(rec, now); next <= now {
+				t.evaluate(tid, rec)
 				continue
 			}
-			t.evaluate(tid, rec, now)
-			if !rec.decided && rec.nextCheckAt < due {
-				due = rec.nextCheckAt
+			if next < due {
+				due = next
 			}
 		}
 		t.nextDue[tid] = due
@@ -603,10 +567,25 @@ func (t *TwoLevel) Tick(now int64) {
 	t.maybeRelease()
 }
 
+// nextCheck returns the first cycle at or after from on which rec's
+// reactive check runs. The schedule is fixed at detection (§5.2): CDR
+// checks once, CountDelay cycles after detection; R-ROB and Relaxed
+// R-ROB check at detection and every RecheckInterval cycles after it.
+func (t *TwoLevel) nextCheck(rec *missRecord, from int64) int64 {
+	if t.cfg.Scheme == CountDelayedReactive {
+		return rec.detectedAt + int64(t.cfg.CountDelay)
+	}
+	if from <= rec.detectedAt {
+		return rec.detectedAt
+	}
+	iv := int64(t.cfg.RecheckInterval)
+	return rec.detectedAt + (from-rec.detectedAt+iv-1)/iv*iv
+}
+
 // recheckBlocked reports whether rec's reactive structural condition
-// fails against tid's ring as it stands, so an evaluation now would only
-// reschedule the recheck. It is the one statement of that condition:
-// evaluate acts on it and NextDue wakes only for records it clears.
+// fails against tid's ring as it stands, so a check now would change
+// nothing. It is the one statement of that condition: Tick evaluates
+// only records it clears and NextDue wakes only for them.
 func (t *TwoLevel) recheckBlocked(tid int, rec *missRecord) bool {
 	ring := t.rings[tid]
 	switch t.cfg.Scheme {
@@ -615,7 +594,8 @@ func (t *TwoLevel) recheckBlocked(tid int, rec *missRecord) bool {
 	case RelaxedReactive:
 		return !ring.IsOldest(rec.slot)
 	case CountDelayedReactive:
-		// Delay already encoded in nextCheckAt; no structural conditions.
+		// The delay is the whole schedule (nextCheck); no structural
+		// conditions.
 		return false
 	case Baseline, Predictive, SharedSingle:
 		// Undecided records exist only under the reactive schemes;
@@ -627,12 +607,9 @@ func (t *TwoLevel) recheckBlocked(tid int, rec *missRecord) bool {
 	}
 }
 
-// evaluate runs one reactive-condition check for a tracked miss.
-func (t *TwoLevel) evaluate(tid int, rec *missRecord, now int64) {
-	if t.recheckBlocked(tid, rec) {
-		rec.nextCheckAt = now + int64(t.cfg.RecheckInterval)
-		return
-	}
+// evaluate decides a tracked miss whose reactive check is due and not
+// blocked: count its DoD, then deny or ask for the partition.
+func (t *TwoLevel) evaluate(tid int, rec *missRecord) {
 	dod := ApproxDoD(t.rings[tid], rec.slot)
 	rec.decided = true
 	t.undecided--
@@ -723,8 +700,11 @@ func (t *TwoLevel) CheckInvariants() error {
 		}
 		for i := range t.misses[tid] {
 			rec := &t.misses[tid][i]
-			if !rec.decided && rec.nextCheckAt < t.nextDue[tid] {
-				return fmt.Errorf("rob: nextDue[%d]=%d misses record due at %d", tid, t.nextDue[tid], rec.nextCheckAt)
+			if rec.decided {
+				continue
+			}
+			if next := t.nextCheck(rec, t.lastNow+1); next < t.nextDue[tid] {
+				return fmt.Errorf("rob: nextDue[%d]=%d misses record due at %d", tid, t.nextDue[tid], next)
 			}
 		}
 	}

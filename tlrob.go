@@ -63,11 +63,11 @@ const (
 	MLP    = policy.MLP
 )
 
-// Options selects a machine configuration. The zero value is completed by
-// filled to Baseline_32 under the ICOUNT fetch policy, Policy's zero
-// value. The paper runs every configuration under DCRA, which needs
-// Policy: DCRA; no figure, simd job or benchmark cell sets it, so they
-// all run ICOUNT.
+// Options selects a machine configuration. Zero fields take their
+// defaults, so the zero value is Baseline_32 under the ICOUNT fetch
+// policy, Policy's zero value. The paper runs every configuration under
+// DCRA, which needs Policy: DCRA; no figure, simd job or benchmark cell
+// sets it, so they all run ICOUNT.
 type Options struct {
 	Scheme       Scheme
 	DoDThreshold int // reactive: 16; relaxed/CDR: 15; predictive: 3 or 5
@@ -323,6 +323,17 @@ func RunBenchmarks(name string, benches []string, opt Options, singleIPC map[str
 		}
 		sources[i] = gen
 	}
+	mr, err := runSources(name, benches, sources, o)
+	if err != nil {
+		return MixResult{}, err
+	}
+	mr.Score(singleIPC)
+	return mr, nil
+}
+
+// runSources simulates one source per thread, labelled by labels, on
+// the machine o describes, and reports the run unscored.
+func runSources(name string, labels []string, sources []pipeline.TraceSource, o Options) (MixResult, error) {
 	cpu, err := pipeline.New(o.machineConfig(), sources)
 	if err != nil {
 		return MixResult{}, err
@@ -332,24 +343,24 @@ func RunBenchmarks(name string, benches []string, opt Options, singleIPC map[str
 	if err != nil {
 		return MixResult{}, err
 	}
-
 	mr := MixResult{
-		Mix:       name,
-		Scheme:    o.Scheme.String(),
-		Cycles:    res.Cycles,
-		DoDMean:   res.DoDHist.Mean(),
-		Telemetry: telemetrySummary(res),
-		Raw:       res,
+		Mix:     name,
+		Scheme:  o.Scheme.String(),
+		Cycles:  res.Cycles,
+		DoDMean: res.DoDHist.Mean(),
+		Raw:     res,
 	}
-	for i, b := range benches {
+	if res.Telemetry != nil {
+		mr.Telemetry = res.Telemetry.Summary()
+	}
+	for i, label := range labels {
 		mr.Throughput += res.IPC[i]
 		mr.Threads = append(mr.Threads, ThreadResult{
-			Benchmark: b,
+			Benchmark: label,
 			Committed: res.Committed[i],
 			IPC:       res.IPC[i],
 		})
 	}
-	mr.Score(singleIPC)
 	return mr, nil
 }
 
@@ -392,41 +403,7 @@ func RunTraceFiles(paths []string, opt Options) (MixResult, error) {
 		sources[i] = rd
 		labels[i] = filepath.Base(p)
 	}
-	cpu, err := pipeline.New(o.machineConfig(), sources)
-	if err != nil {
-		return MixResult{}, err
-	}
-	res, err := cpu.Run(o.Budget)
-	cpu.Release()
-	if err != nil {
-		return MixResult{}, err
-	}
-	mr := MixResult{
-		Mix:       "traces",
-		Scheme:    o.Scheme.String(),
-		Cycles:    res.Cycles,
-		DoDMean:   res.DoDHist.Mean(),
-		Telemetry: telemetrySummary(res),
-		Raw:       res,
-	}
-	for i := range paths {
-		mr.Throughput += res.IPC[i]
-		mr.Threads = append(mr.Threads, ThreadResult{
-			Benchmark: labels[i],
-			Committed: res.Committed[i],
-			IPC:       res.IPC[i],
-		})
-	}
-	return mr, nil
-}
-
-// telemetrySummary digests a run's collector, or nil when telemetry was
-// disabled.
-func telemetrySummary(res pipeline.Result) *telemetry.Summary {
-	if res.Telemetry == nil {
-		return nil
-	}
-	return res.Telemetry.Summary()
+	return runSources("traces", labels, sources, o)
 }
 
 // RunMix simulates one of the paper's Table-2 mixes.
